@@ -63,14 +63,15 @@ from repro.utils.jsonutil import stable_loads  # noqa: E402
 from repro.utils.paths import ROOT, is_ancestor, path_parent  # noqa: E402
 from repro.utils.timeutil import FixedClock, reset_clock, set_clock  # noqa: E402
 from repro.vcs.fsck import fsck_working_copy  # noqa: E402
+from repro.vcs import object_store as object_store_module  # noqa: E402
 from repro.vcs.object_store import ObjectStore  # noqa: E402
 from repro.vcs.objects import MODE_FILE, Blob, Commit, Signature, deserialize_object  # noqa: E402
 from repro.vcs.merge import commit_ancestors  # noqa: E402
-from repro.vcs.remote import clone_repository, sync_objects  # noqa: E402
+from repro.vcs.remote import clone_repository, push, sync_objects  # noqa: E402
 from repro.vcs.transfer import apply_bundle, common_tips, create_bundle  # noqa: E402
 from repro.vcs.treeops import flatten_tree  # noqa: E402
 from repro.vcs.repository import Repository  # noqa: E402
-from repro.vcs.storage import make_backend  # noqa: E402
+from repro.vcs.storage import MemoryBackend, make_backend  # noqa: E402
 from repro.vcs.storage.pack import PackBackend  # noqa: E402
 from repro.vcs.treeops import build_tree  # noqa: E402
 from repro.workloads.generator import (  # noqa: E402
@@ -908,6 +909,90 @@ def bench_pull_after_divergence(num_files: int = 3000, new_commits: int = 5) -> 
     }
 
 
+class _LruWalkStore(ObjectStore):
+    """The pre-index walk: every ancestry step reads through the parsed-object LRU."""
+
+    def commit_parents(self, oid: str) -> tuple[str, ...]:
+        return self.get_commit(oid).parent_oids
+
+    def commit_tree(self, oid: str) -> str:
+        return self.get_commit(oid).tree_oid
+
+
+def _copy_of(source: Repository, store: ObjectStore) -> Repository:
+    """A repository holding ``source``'s objects and refs in ``store`` (raw, unparsed)."""
+    copy = Repository(source.name, source.owner)
+    copy.store = store
+    source.store.copy_objects_to(store)
+    copy.refs = source.refs.clone()
+    copy.checkout("main")
+    return copy
+
+
+def bench_deep_history_push(history_commits: int = 1500, pushes: int = 12) -> dict:
+    """One-commit pushes onto a 1.5k-commit history: LRU walks vs the parent index.
+
+    Every push walks the whole history (the negotiation's common-ancestor
+    walk on the sender, the fast-forward check on the receiver).  Through
+    the 512-entry parsed-object LRU alone such a walk re-parses every commit
+    each time; the store's commit-parent index parses each commit once per
+    store.  The gated ``commit_parses_per_push`` counts commit
+    deserialisations per push after one warm-up push, so it is a
+    hardware-independent guard against that cliff coming back.
+    """
+    signature = Signature(name="alice", email="alice@example.org", timestamp=_STORAGE_STAMP)
+    source = Repository.init("bench", "alice")
+    source.write_files({f"/src/module_{i}.py": f"# module {i}\n" for i in range(20)})
+    source.commit("initial", author=signature)
+    for number in range(history_commits - 1):
+        source.write_file(f"/src/module_{number % 20}.py", f"# revision {number}\n")
+        source.commit(f"revision {number}", author=signature)
+
+    parses = [0]
+    original = object_store_module.deserialize_object
+
+    def counting(object_type, payload):
+        if object_type == "commit":
+            parses[0] += 1
+        return original(object_type, payload)
+
+    def run(store_class) -> tuple[float, float, Repository]:
+        local = _copy_of(source, store_class(MemoryBackend()))
+        remote = _copy_of(source, store_class(MemoryBackend()))
+        per_push: list[int] = []
+        elapsed = 0.0
+        object_store_module.deserialize_object = counting
+        try:
+            for number in range(pushes + 1):
+                local.write_file("/src/pushed.py", f"# push {number}\n")
+                local.commit(f"push {number}", author=signature)
+                parses[0] = 0
+                seconds = _timed(lambda: push(local, remote, "main"))
+                if number:  # the first push warms both stores
+                    elapsed += seconds
+                    per_push.append(parses[0])
+        finally:
+            object_store_module.deserialize_object = original
+        return elapsed, sum(per_push) / len(per_push), remote
+
+    baseline_s, baseline_parses, remote_baseline = run(_LruWalkStore)
+    optimized_s, optimized_parses, remote_optimized = run(ObjectStore)
+    identical = (
+        remote_baseline.head_oid() == remote_optimized.head_oid()
+        and remote_baseline.snapshot() == remote_optimized.snapshot()
+    )
+    return {
+        "baseline_s": baseline_s,
+        "optimized_s": optimized_s,
+        "speedup": baseline_s / optimized_s,
+        "outputs_identical": identical,
+        "baseline_commit_parses_per_push": baseline_parses,
+        "commit_parses_per_push": optimized_parses,
+        "history_commits": history_commits,
+        "pushes": pushes,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Durability scenarios (PR 6)
 # ---------------------------------------------------------------------------
@@ -1256,6 +1341,7 @@ SCENARIOS = {
     "checkout_5k_switch": bench_checkout_switch,
     "push_incremental_5k": bench_push_incremental,
     "pull_after_divergence": bench_pull_after_divergence,
+    "deep_history_push": bench_deep_history_push,
     "fsck_5k": bench_fsck,
     "concurrent_push_pull": bench_concurrent_push_pull,
     "serve_durable_push": bench_serve_durable_push,

@@ -73,7 +73,7 @@ def _remote_known_commits(local: Repository, advert: RefAdvertisement) -> set[st
         if oid in known:
             continue
         known.add(oid)
-        frontier.extend(store.get_commit(oid).parent_oids)
+        frontier.extend(store.commit_parents(oid))
     return known
 
 
@@ -159,7 +159,7 @@ class HubRemote:
                 haves.append(oid)
                 continue
             if oid in store and store.get_type(oid) == "commit":
-                frontier.extend(store.get_commit(oid).parent_oids)
+                frontier.extend(store.commit_parents(oid))
         data = self._upload_pack(wanted, sorted(haves))
         apply_bundle(store, data)
         return advert

@@ -534,25 +534,27 @@ def _check_graph(scan: _ScanState, report: FsckReport) -> None:
     def resolve(start: str) -> frozenset:
         if start in missing_below:
             return missing_below[start]
-        stack: list[tuple[str, bool]] = [(start, False)]
+        # Entries are (oid, None) before expansion and (oid, children) after,
+        # so each object is parsed once on the way down.
+        stack: list[tuple[str, list[str] | None]] = [(start, None)]
         while stack:
-            oid, expanded = stack.pop()
+            oid, children = stack.pop()
             if oid in missing_below:
                 continue
             if oid not in objects:
                 missing_below[oid] = frozenset((oid,))
                 continue
-            children = _references(*objects[oid])
-            if expanded:
+            if children is None:
+                children = _references(*objects[oid])
+                stack.append((oid, children))
+                stack.extend(
+                    (child, None) for child in children if child not in missing_below
+                )
+            else:
                 gathered: set = set()
                 for child in children:
                     gathered |= missing_below.get(child, frozenset())
                 missing_below[oid] = frozenset(gathered)
-            else:
-                stack.append((oid, True))
-                stack.extend(
-                    (child, False) for child in children if child not in missing_below
-                )
         return missing_below[start]
 
     stranded: dict[str, set] = {}
@@ -594,9 +596,11 @@ def _check_citations(scan: _ScanState, report: FsckReport) -> None:
         return
     objects = scan.objects
     checked: set[str] = set()
+    # One ``seen`` set for every ref: what a commit reaches does not depend
+    # on which ref reached it, so refs sharing history parse it once.
+    seen: set[str] = set()
     for _, tip in _ref_tips(scan.state):
         frontier = [tip]
-        seen: set[str] = set()
         while frontier:
             oid = frontier.pop()
             if oid in seen or oid not in objects:

@@ -55,8 +55,7 @@ def commit_ancestors(store: ObjectStore, commit_oid: str, include_self: bool = T
         if known is not None and known <= depth:
             continue
         depths[oid] = depth
-        commit = store.get_commit(oid)
-        for parent in commit.parent_oids:
+        for parent in store.commit_parents(oid):
             frontier.append((parent, depth + 1))
     if not include_self:
         depths.pop(commit_oid, None)
@@ -64,8 +63,24 @@ def commit_ancestors(store: ObjectStore, commit_oid: str, include_self: bool = T
 
 
 def is_ancestor_commit(store: ObjectStore, ancestor_oid: str, descendant_oid: str) -> bool:
-    """Return whether ``ancestor_oid`` is reachable from ``descendant_oid``."""
-    return ancestor_oid in commit_ancestors(store, descendant_oid)
+    """Return whether ``ancestor_oid`` is reachable from ``descendant_oid``.
+
+    The walk stops as soon as it reaches ``ancestor_oid``, so the
+    fast-forward check behind every ref CAS costs the distance between the
+    two tips rather than the whole history.
+    """
+    seen: set[str] = set()
+    frontier = [descendant_oid]
+    while frontier:
+        oid = frontier.pop()
+        if oid in seen:
+            continue
+        seen.add(oid)
+        parents = store.commit_parents(oid)  # raises for a missing commit
+        if oid == ancestor_oid:
+            return True
+        frontier.extend(parents)
+    return False
 
 
 def find_merge_base(store: ObjectStore, oid_a: str, oid_b: str) -> Optional[str]:

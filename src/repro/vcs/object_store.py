@@ -12,6 +12,11 @@ files, or delta-compressed pack files — see :mod:`repro.vcs.storage`), with a
 small LRU cache of deserialised objects in front of the backend so hot reads
 skip both I/O and parsing.  The public API is unchanged from the in-memory
 era; callers pick a layout at construction time and nothing else.
+
+History walks do not go through that LRU: :meth:`ObjectStore.commit_parents`
+and :meth:`ObjectStore.commit_tree` answer from a commit-parent index that is
+never evicted, so a walk over a history longer than the cache parses each
+commit once per store lifetime instead of once per walk.
 """
 
 from __future__ import annotations
@@ -73,20 +78,29 @@ class ObjectStore:
     migrations) invalidate it too, not just facade-level writes.
 
     Thread-safety contract: the facade's mutable bookkeeping — the LRU
-    parse cache, the sorted prefix index and the lease registry — is
-    guarded by one internal lock, held only for dict/list operations
-    (never across backend I/O).  Object payload reads and writes delegate
-    to the backend, whose own write lock serialises mutations while
-    leaving reads lock-free (see :mod:`repro.vcs.storage.base`), so N
-    server threads can read through one store while a push lands.
+    parse cache, the commit-parent index, the sorted prefix index and the
+    lease registry — is guarded by one internal lock, held only for
+    dict/list operations (never across backend I/O).  Object payload
+    reads and writes delegate to the backend, whose own write lock
+    serialises mutations while leaving reads lock-free (see
+    :mod:`repro.vcs.storage.base`), so N server threads can read through
+    one store while a push lands.
     """
 
     def __init__(self, backend: BackendSpec = None, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         self._backend = make_backend(backend)
         self._cache: OrderedDict[str, VCSObject] = OrderedDict()
         self._cache_size = cache_size
-        #: Guards the cache, the sorted prefix index and the lease set.
-        #: Never held across backend I/O, so it cannot serialise reads.
+        #: ``{commit oid: (tree oid, parent oids)}`` for every commit parsed
+        #: or put through this store — the commit-parent index.  Never
+        #: evicted (commits are immutable, so an entry cannot go stale; each
+        #: costs about 350 bytes); :meth:`gc` drops it wholesale so entries
+        #: of collected commits do not outlive them.
+        #: Reads are lock-free single-key ``dict.get`` calls.
+        self._commit_links: dict[str, tuple[str, tuple[str, ...]]] = {}  # guarded-by: _lock
+        #: Guards the cache, the parent index, the sorted prefix index and
+        #: the lease set.  Never held across backend I/O, so it cannot
+        #: serialise reads.
         self._lock = threading.RLock()
         self._sorted_oids: list[str] = []
         self._indexed_mutation = -1
@@ -103,9 +117,11 @@ class ObjectStore:
         return self._backend
 
     def _cache_insert(self, oid: str, obj: VCSObject) -> None:
-        if self._cache_size <= 0:
-            return
         with self._lock:
+            if isinstance(obj, Commit):
+                self._commit_links[oid] = (obj.tree_oid, obj.parent_oids)
+            if self._cache_size <= 0:
+                return
             self._cache[oid] = obj
             self._cache.move_to_end(oid)
             while len(self._cache) > self._cache_size:
@@ -189,6 +205,37 @@ class ObjectStore:
             return self._backend.read(oid)
         except KeyError:
             raise ObjectNotFoundError(oid) from None
+
+    def commit_parents(self, oid: str) -> tuple[str, ...]:
+        """Return the parent ids of commit ``oid``, parsing it at most once.
+
+        The ancestry walks (negotiation, fast-forward checks, merge bases)
+        call this instead of :meth:`get_commit`: an index hit costs one dict
+        lookup whatever the LRU holds.  Presence is not answered here — a
+        caller that must know whether ``oid`` is stored still asks the
+        backend (``oid in store``).
+
+        Raises
+        ------
+        ObjectNotFoundError
+            If no object with that id is stored.
+        InvalidObjectError
+            If the object is not a commit.
+        """
+        return self._commit_links_of(oid)[1]
+
+    def commit_tree(self, oid: str) -> str:
+        """Return the root tree id of commit ``oid``, from the same index."""
+        return self._commit_links_of(oid)[0]
+
+    def _commit_links_of(self, oid: str) -> tuple[str, tuple[str, ...]]:
+        links = self._commit_links.get(oid)
+        if links is None:
+            commit = self.get_commit(oid)
+            links = (commit.tree_oid, commit.parent_oids)
+            with self._lock:
+                self._commit_links[oid] = links
+        return links
 
     def get_blob(self, oid: str) -> Blob:
         return self._typed(oid, Blob)
@@ -385,6 +432,7 @@ class ObjectStore:
                 self._cache = OrderedDict(
                     (oid, obj) for oid, obj in self._cache.items() if oid in keep
                 )
+                self._commit_links.clear()
         return removed
 
     # -- transfer ----------------------------------------------------------

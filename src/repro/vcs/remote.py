@@ -55,7 +55,7 @@ def reachable_objects(store: ObjectStore, commit_oid: str) -> set[str]:
     reachable: set[str] = set()
     for ancestor in commit_ancestors(store, commit_oid):
         reachable.add(ancestor)
-        reachable |= tree_closure(store, store.get_commit(ancestor).tree_oid, cache)
+        reachable |= tree_closure(store, store.commit_tree(ancestor), cache)
     return reachable
 
 

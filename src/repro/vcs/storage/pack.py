@@ -22,11 +22,14 @@ file per object.  Each pack ``pack-<digest>.pack`` carries a sidecar
 
 A lookup narrows to the oid's first-byte bucket via the fanout table, then
 bisects inside the bucket — O(log bucket) with no payload touched.  Similar
-blobs are stored as deltas (copy/insert opcodes against a base blob chosen
-from a sliding window, kept only when materially smaller than the compressed
-full payload).  :meth:`repack` rewrites all packs as one, re-running delta
-selection over the full object population; with a ``keep`` set it doubles as
-the garbage collector.  A missing/corrupt ``.idx`` is rebuilt by scanning the
+blobs are stored as deltas: copy/insert opcodes against a base blob chosen
+from a sliding window (:class:`DeltaWindow`, shared with the bundle writer),
+kept only when materially smaller than the compressed full payload.  The
+encoder (:func:`encode_delta`) is a linear-time block index over the base
+that gives up once its literal bytes exceed that acceptance budget, so an
+unrelated base costs a partial scan.  :meth:`repack` rewrites all packs as
+one, re-running delta selection over the full object population; with a
+``keep`` set it doubles as the garbage collector.  A missing/corrupt ``.idx`` is rebuilt by scanning the
 pack, so the index is a cache, never the source of truth.
 
 Two structures keep the read path flat as packs accumulate between repacks:
@@ -64,7 +67,6 @@ import threading
 import zlib
 from bisect import bisect_left
 from collections import OrderedDict
-from difflib import SequenceMatcher
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -73,7 +75,7 @@ from repro.utils import atomicio
 from repro.utils.hashing import object_id
 from repro.vcs.storage.base import ObjectBackend
 
-__all__ = ["PackBackend"]
+__all__ = ["DeltaWindow", "PackBackend", "apply_delta", "delta_order", "encode_delta"]
 
 _PACK_MAGIC = b"RPCK1\n"
 _INDEX_MAGIC = b"RIDX1\n"
@@ -94,9 +96,10 @@ _DELTA_KEEP_RATIO = 0.75
 _DELTA_HEADER_EXTRA = 41
 #: Blobs larger than this are never delta-compressed.
 _DELTA_MAX_BYTES = 4 * 1024 * 1024
-#: Above this size only the linear prefix/suffix trim is attempted
-#: (SequenceMatcher is quadratic in the worst case).
-_SEQUENCE_MATCH_MAX_BYTES = 64 * 1024
+#: Length of the base blocks the delta encoder indexes.  A match shorter
+#: than this is only found when it extends an indexed block, so it bounds
+#: both the index size (one entry per block) and the shortest copy.
+_DELTA_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -104,44 +107,101 @@ _SEQUENCE_MATCH_MAX_BYTES = 64 * 1024
 # ---------------------------------------------------------------------------
 
 
-def encode_delta(base: bytes, target: bytes) -> bytes:
+def _match_forward(base: bytes, base_at: int, target: bytes, target_at: int) -> int:
+    """Length of the common run of ``base[base_at:]`` and ``target[target_at:]``.
+
+    Gallops over doubling slice comparisons, then bisects the last step, so
+    a long run costs O(log length) C-level compares instead of a Python loop
+    per byte.
+    """
+    limit = min(len(base) - base_at, len(target) - target_at)
+    matched, step = 0, _DELTA_BLOCK
+    while matched + step <= limit and (
+        base[base_at + matched:base_at + matched + step]
+        == target[target_at + matched:target_at + matched + step]
+    ):
+        matched += step
+        step *= 2
+    high = min(matched + step, limit)
+    while matched < high:
+        middle = (matched + high + 1) // 2
+        if (
+            base[base_at + matched:base_at + middle]
+            == target[target_at + matched:target_at + middle]
+        ):
+            matched = middle
+        else:
+            high = middle - 1
+    return matched
+
+
+def _match_backward(base: bytes, base_end: int, target: bytes, target_end: int, limit: int) -> int:
+    """Length (at most ``limit``) of the common run ending at both offsets."""
+    matched, high = 0, limit
+    while matched < high:
+        middle = (matched + high + 1) // 2
+        if (
+            base[base_end - middle:base_end - matched]
+            == target[target_end - middle:target_end - matched]
+        ):
+            matched = middle
+        else:
+            high = middle - 1
+    return matched
+
+
+def encode_delta(base: bytes, target: bytes, max_literal: float | None = None) -> bytes | None:
     """Encode ``target`` as copy/insert opcodes against ``base``.
 
-    Two strategies, cheapest first: a linear common-prefix/common-suffix trim
-    (covers the dominant versioned-file shape — an edit or append somewhere
-    in an otherwise identical payload), falling back to full
-    :class:`difflib.SequenceMatcher` opcodes for small payloads where the
-    trim left too much literal middle.
+    A block-index encoder, linear in both sizes: every aligned
+    ``_DELTA_BLOCK``-byte block of ``base`` is indexed (first occurrence
+    wins), ``target`` is scanned once, and each block hit is extended
+    backwards into the pending literal run and forwards as far as both
+    payloads agree.  Target bytes no copy covers become insert literals.
+
+    ``max_literal`` is the caller's acceptance budget in literal bytes: the
+    encoder gives up and returns ``None`` as soon as the literals would
+    exceed it, so an unrelated base costs a partial scan, not a full one.
+    Unmatched bytes count against the budget as they are scanned.  The
+    output is a pure function of the inputs.
     """
-    prefix = 0
-    limit = min(len(base), len(target))
-    while prefix < limit and base[prefix] == target[prefix]:
-        prefix += 1
-    suffix = 0
-    while (
-        suffix < limit - prefix
-        and base[len(base) - 1 - suffix] == target[len(target) - 1 - suffix]
-    ):
-        suffix += 1
-    middle = len(target) - prefix - suffix
-    if middle <= len(target) // 2 or len(target) > _SEQUENCE_MATCH_MAX_BYTES:
-        chunks: list[bytes] = []
-        if prefix:
-            chunks.append(b"C %d %d\n" % (0, prefix))
-        if middle:
-            chunks.append(b"I %d\n" % middle)
-            chunks.append(target[prefix:prefix + middle])
-        if suffix:
-            chunks.append(b"C %d %d\n" % (len(base) - suffix, suffix))
-        return b"".join(chunks)
-    matcher = SequenceMatcher(a=base, b=target, autojunk=False)
-    chunks = []
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            chunks.append(b"C %d %d\n" % (i1, i2 - i1))
-        elif j2 > j1:
-            chunks.append(b"I %d\n" % (j2 - j1))
-            chunks.append(target[j1:j2])
+    block = _DELTA_BLOCK
+    index: dict[bytes, int] = {}
+    for offset in range(0, len(base) - block + 1, block):
+        index.setdefault(base[offset:offset + block], offset)
+    budget = len(target) if max_literal is None else max_literal
+    chunks: list[bytes] = []
+    literal_start = 0  # first target byte of the pending literal run
+    literal_total = 0  # literal bytes already emitted
+    give_up_at = budget
+    position = 0
+    last = len(target) - block if index else -1
+    while position <= last:
+        base_at = index.get(target[position:position + block])
+        if base_at is None:
+            position += 1
+            if position > give_up_at:
+                return None
+            continue
+        back = _match_backward(
+            base, base_at, target, position, min(base_at, position - literal_start)
+        )
+        stop = position + block + _match_forward(
+            base, base_at + block, target, position + block
+        )
+        start = position - back
+        if start > literal_start:
+            chunks.append(b"I %d\n" % (start - literal_start))
+            chunks.append(target[literal_start:start])
+            literal_total += start - literal_start
+        chunks.append(b"C %d %d\n" % (base_at - back, stop - start))
+        literal_start = position = stop
+        give_up_at = literal_start + budget - literal_total
+    if literal_start < len(target):
+        if len(target) > give_up_at:
+            return None
+        chunks.append(b"I %d\n" % (len(target) - literal_start))
+        chunks.append(target[literal_start:])
     return b"".join(chunks)
 
 
@@ -189,6 +249,66 @@ def _delta_worth_trying(base: bytes, target: bytes) -> bool:
         return False
     longer, shorter = max(len(base), len(target)), min(len(base), len(target))
     return shorter * 2 >= longer
+
+
+def delta_order(oids: Iterable[str], describe) -> list[str]:
+    """Order a record stream so the delta window actually hits.
+
+    ``describe(oid)`` returns ``(type name, payload size)``; the size is
+    only used for blobs.  Non-blobs (small, rarely similar) go first sorted
+    by oid; blobs follow sorted by (size, oid) — revisions of the same file
+    have near-identical sizes, so similar payloads land inside the sliding
+    window.  (An oid-sorted stream scatters revisions randomly and the
+    window almost never hits.)  Pack files and bundles share this order.
+    """
+    blobs: list[tuple[int, str]] = []
+    others: list[str] = []
+    for oid in oids:
+        type_name, size = describe(oid)
+        if type_name == "blob":
+            blobs.append((size, oid))
+        else:
+            others.append(oid)
+    return sorted(others) + [oid for _, oid in sorted(blobs)]
+
+
+class DeltaWindow:
+    """Delta selection for one record stream (a pack file or a bundle).
+
+    Holds the last ``_DELTA_WINDOW`` *full* blob payloads as candidate
+    bases.  :meth:`encode` turns each record into its header line and
+    compressed body: a blob is tried against the bases most recent first,
+    and the first delta that beats ``_DELTA_KEEP_RATIO`` of the compressed
+    full payload (after the header growth) wins — git's heuristic, with
+    depth capped at 1 because a delta's base is always a full record of the
+    same stream.
+    """
+
+    def __init__(self) -> None:
+        self._bases: list[tuple[str, bytes]] = []
+
+    def encode(self, oid: str, type_name: str, payload: bytes) -> tuple[bytes, bytes]:
+        """Return ``(header line, body)`` for one record, in stream order."""
+        full_compressed = zlib.compress(payload)
+        if type_name == "blob":
+            budget = _DELTA_KEEP_RATIO * len(full_compressed) - _DELTA_HEADER_EXTRA
+            # Literal bytes are assumed to compress like the payload as a whole.
+            max_literal = budget * len(payload) / len(full_compressed)
+            for base_oid, base_payload in reversed(self._bases):
+                if not _delta_worth_trying(base_payload, payload):
+                    continue
+                delta = encode_delta(base_payload, payload, max_literal)
+                if delta is None:
+                    continue
+                delta_compressed = zlib.compress(delta)
+                if len(delta_compressed) < budget:
+                    header = f"delta blob {oid} {len(delta_compressed)} {base_oid}\n"
+                    return header.encode("ascii"), delta_compressed
+            self._bases.append((oid, payload))
+            if len(self._bases) > _DELTA_WINDOW:
+                self._bases.pop(0)
+        header = f"full {type_name} {oid} {len(full_compressed)}\n"
+        return header.encode("ascii"), full_compressed
 
 
 # ---------------------------------------------------------------------------
@@ -866,27 +986,6 @@ class PackBackend(ObjectBackend):
 
     # -- pack writing ------------------------------------------------------
 
-    @staticmethod
-    def _delta_order(oids: Iterable[str], describe) -> list[str]:
-        """Order a record stream so the delta window actually hits.
-
-        ``describe(oid)`` returns ``(type name, payload size)``.  Non-blobs
-        (small, rarely similar) go first sorted by oid; blobs follow sorted
-        by (size, oid) — revisions of the same file have near-identical
-        sizes, so similar payloads land inside the sliding window.  (An
-        oid-sorted stream scatters revisions randomly and the window almost
-        never hits.)
-        """
-        blobs: list[tuple[int, str]] = []
-        others: list[str] = []
-        for oid in oids:
-            type_name, size = describe(oid)
-            if type_name == "blob":
-                blobs.append((size, oid))
-            else:
-                others.append(oid)
-        return sorted(others) + [oid for _, oid in sorted(blobs)]
-
     def _write_pack_stream(
         self, ordered: list[str], fetch, failpoint: str = "storage.flush"
     ) -> _PackFile:
@@ -903,38 +1002,14 @@ class PackBackend(ObjectBackend):
         digest = hashlib.sha1("\n".join(sorted(ordered)).encode("ascii")).hexdigest()[:16]
         pack_path = self.root / f"pack-{digest}.pack"
         entries: list[tuple[str, int]] = []
-        #: Sliding window of recently written *full* blob payloads.
-        window: list[tuple[str, bytes]] = []
+        deltas = DeltaWindow()
         out = atomicio.AtomicFile(pack_path, durable=True, failpoint=failpoint)
         try:
             out.write(_PACK_MAGIC)
             for oid in ordered:
-                type_name, payload = fetch(oid)
-                full_compressed = zlib.compress(payload)
-                best: tuple[str, bytes] | None = None
-                if type_name == "blob":
-                    # Most recent window entry first; the first acceptable
-                    # delta wins (git's heuristic, depth capped at 1).
-                    for base_oid, base_payload in reversed(window):
-                        if not _delta_worth_trying(base_payload, payload):
-                            continue
-                        delta_compressed = zlib.compress(encode_delta(base_payload, payload))
-                        delta_cost = len(delta_compressed) + _DELTA_HEADER_EXTRA
-                        if delta_cost < _DELTA_KEEP_RATIO * len(full_compressed):
-                            best = (base_oid, delta_compressed)
-                            break
-                if best is not None:
-                    base_oid, body = best
-                    header = f"delta {type_name} {oid} {len(body)} {base_oid}"
-                else:
-                    body = full_compressed
-                    header = f"full {type_name} {oid} {len(body)}"
-                    if type_name == "blob":
-                        window.append((oid, payload))
-                        if len(window) > _DELTA_WINDOW:
-                            window.pop(0)
+                header, body = deltas.encode(oid, *fetch(oid))
                 entries.append((oid, out.tell()))
-                out.write(header.encode("ascii") + b"\n")
+                out.write(header)
                 out.write(body)
             out.commit()
         finally:
@@ -944,9 +1019,7 @@ class PackBackend(ObjectBackend):
 
     def _write_pack(self, objects: dict[str, tuple[str, bytes]]) -> _PackFile:
         """Materialise in-memory ``objects`` as one pack (+ index)."""
-        ordered = self._delta_order(
-            objects, lambda oid: (objects[oid][0], len(objects[oid][1]))
-        )
+        ordered = delta_order(objects, lambda oid: (objects[oid][0], len(objects[oid][1])))
         return self._write_pack_stream(ordered, objects.__getitem__)
 
     def _build_midx(
@@ -1026,7 +1099,7 @@ class PackBackend(ObjectBackend):
                 size = delta_output_length(data) if kind == "delta" else len(data)
                 return type_name, size
 
-            ordered = self._delta_order(survivors, describe)
+            ordered = delta_order(survivors, describe)
             old_packs = self._state[0]
             new_pack = (
                 self._write_pack_stream(ordered, self.read, failpoint="pack.repack")

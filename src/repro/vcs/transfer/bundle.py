@@ -15,9 +15,10 @@ of ``gitcite bundle create``.  Layout::
       "delta <type> <oid> <csize> <base-oid>\\n" + csize bytes of zlib delta
     "checksum <sha1 hex of every preceding byte>\\n"
 
-Similar blobs are delta-compressed against a sliding window of recently
-written full blobs using the *existing* pack-backend delta encoder
-(:func:`repro.vcs.storage.pack.encode_delta`); a delta's base is always an
+Similar blobs are delta-compressed by the pack backend's delta selection
+(:class:`repro.vcs.storage.pack.DeltaWindow`: a sliding window of recently
+written full blobs as bases, and the linear-time block-index encoder
+:func:`~repro.vcs.storage.pack.encode_delta`); a delta's base is always an
 earlier full record of the same bundle, so the stream stays self-contained —
 no receiver-side object is ever needed to decode it, only to satisfy the
 declared prerequisites.
@@ -39,14 +40,7 @@ from typing import Iterable
 from repro import faults
 from repro.errors import BundleChecksumError, BundleError
 from repro.utils.hashing import object_id
-from repro.vcs.storage.pack import (
-    _DELTA_HEADER_EXTRA,
-    _DELTA_KEEP_RATIO,
-    _DELTA_WINDOW,
-    _delta_worth_trying,
-    apply_delta,
-    encode_delta,
-)
+from repro.vcs.storage.pack import DeltaWindow, apply_delta, delta_order
 
 __all__ = ["Bundle", "BundleRecord", "BundleWriter", "read_bundle", "write_bundle"]
 
@@ -114,12 +108,14 @@ class Bundle:
 class BundleWriter:
     """Accumulate objects and serialise them as one delta-compressed bundle.
 
-    The writer orders records the way the pack backend does — non-blobs
-    first sorted by oid, blobs by (size, oid) so revisions of the same file
-    land inside the delta window — and reuses the pack delta encoder with
-    the same acceptance thresholds.  The ordering pass uses the store's
-    type/size probes (header-only on disk layouts); payloads are read once,
-    while serialising.
+    The writer shares the pack writer's record order
+    (:func:`~repro.vcs.storage.pack.delta_order`: non-blobs first sorted by
+    oid, blobs by (size, oid) so revisions of the same file land inside the
+    delta window) and its delta selection
+    (:class:`~repro.vcs.storage.pack.DeltaWindow`), so both formats pick
+    bases under the same acceptance thresholds.  The ordering pass uses the
+    store's type/size probes (header-only on disk layouts); payloads are
+    read once, while serialising.
     """
 
     def __init__(
@@ -145,15 +141,9 @@ class BundleWriter:
                 self._oids.append(oid)
         return self
 
-    def _ordered(self) -> list[str]:
-        blobs: list[tuple[int, str]] = []
-        others: list[str] = []
-        for oid in self._oids:
-            if self._store.get_type(oid) == "blob":
-                blobs.append((self._store.blob_size(oid), oid))
-            else:
-                others.append(oid)
-        return sorted(others) + [oid for _, oid in sorted(blobs)]
+    def _describe(self, oid: str) -> tuple[str, int]:
+        type_name = self._store.get_type(oid)
+        return type_name, self._store.blob_size(oid) if type_name == "blob" else 0
 
     def getvalue(self) -> bytes:
         """Serialise the accumulated objects as a complete bundle stream."""
@@ -166,37 +156,11 @@ class BundleWriter:
             chunks.append(f"tag {name} {oid}\n".encode("ascii"))
         if self.head_branch:
             chunks.append(f"head {self.head_branch}\n".encode("ascii"))
-        ordered = self._ordered()
+        ordered = delta_order(self._oids, self._describe)
         chunks.append(f"objects {len(ordered)}\n".encode("ascii"))
-        #: Sliding window of recently written *full* blob payloads.
-        window: list[tuple[str, bytes]] = []
+        deltas = DeltaWindow()
         for oid in ordered:
-            type_name, payload = self._store.get_raw(oid)
-            full_compressed = zlib.compress(payload)
-            best: tuple[str, bytes] | None = None
-            if type_name == "blob":
-                for base_oid, base_payload in reversed(window):
-                    if not _delta_worth_trying(base_payload, payload):
-                        continue
-                    delta_compressed = zlib.compress(encode_delta(base_payload, payload))
-                    if (
-                        len(delta_compressed) + _DELTA_HEADER_EXTRA
-                        < _DELTA_KEEP_RATIO * len(full_compressed)
-                    ):
-                        best = (base_oid, delta_compressed)
-                        break
-            if best is not None:
-                base_oid, body = best
-                header = f"delta {type_name} {oid} {len(body)} {base_oid}"
-            else:
-                body = full_compressed
-                header = f"full {type_name} {oid} {len(body)}"
-                if type_name == "blob":
-                    window.append((oid, payload))
-                    if len(window) > _DELTA_WINDOW:
-                        window.pop(0)
-            chunks.append(header.encode("ascii") + b"\n")
-            chunks.append(body)
+            chunks.extend(deltas.encode(oid, *self._store.get_raw(oid)))
         stream = b"".join(chunks)
         digest = hashlib.sha1(stream).hexdigest()
         return stream + f"checksum {digest}\n".encode("ascii")

@@ -20,6 +20,13 @@ of the sync subsystem:
   of one commit on a deep history touches the changed subtrees plus one
   closure of the boundary tree, not every tree of every ancestor.
 
+Every commit-graph walk here reads commits through
+:meth:`~repro.vcs.object_store.ObjectStore.commit_parents` and
+:meth:`~repro.vcs.object_store.ObjectStore.commit_tree`, the store's
+never-evicted commit-parent index, so walking a history longer than the
+parsed-object cache costs dict lookups, not a re-parse of every commit on
+every walk.
+
 The resulting :class:`SyncPlan` is what the bundle writer serialises and what
 the benchmarks count: ``plan.objects`` is exactly the transfer offer.
 """
@@ -130,7 +137,7 @@ def common_tips(source_store: ObjectStore, receiver) -> list[str]:
             known.append(oid)
             continue
         if oid in store and store.get_type(oid) == "commit":
-            frontier.extend(store.get_commit(oid).parent_oids)
+            frontier.extend(store.commit_parents(oid))
     return sorted(known)
 
 
@@ -144,7 +151,7 @@ def _shared_ancestors(store: ObjectStore, tips: list[str]) -> set[str]:
             continue
         seen.add(oid)
         frontier.extend(
-            parent for parent in store.get_commit(oid).parent_oids if parent not in seen
+            parent for parent in store.commit_parents(oid) if parent not in seen
         )
     return seen
 
@@ -167,7 +174,7 @@ def _new_commits_topological(
             stack.pop()
             continue
         state[oid] = 0
-        for parent in store.get_commit(oid).parent_oids:
+        for parent in store.commit_parents(oid):
             if parent not in common and state.get(parent) != 1:
                 stack.append(parent)
     return ordered
@@ -210,19 +217,19 @@ def negotiate(
 
     boundary: list[str] = []
     for oid in new_commits:
-        for parent in store.get_commit(oid).parent_oids:
+        for parent in store.commit_parents(oid):
             if parent in common and parent not in boundary:
                 boundary.append(parent)
 
     known: set[str] = set()
     for oid in boundary:
-        known |= tree_closure(store, store.get_commit(oid).tree_oid, cache)
+        known |= tree_closure(store, store.commit_tree(oid), cache)
 
     objects: list[str] = []
     sent: set[str] = set()
     for oid in new_commits:
         objects.append(oid)
-        closure = tree_closure(store, store.get_commit(oid).tree_oid, cache)
+        closure = tree_closure(store, store.commit_tree(oid), cache)
         fresh = closure - known - sent
         objects.extend(sorted(fresh))
         sent |= fresh

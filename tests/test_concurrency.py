@@ -189,6 +189,65 @@ class TestBackendConcurrency:
 
         run_threads([reader] * 8)
 
+    def test_commit_parent_index_under_parallel_walks_and_gc(self):
+        """Walkers read the parent index while gc keeps clearing it."""
+        import sys
+
+        from repro.utils.timeutil import now_utc
+        from repro.vcs.object_store import ObjectStore
+        from repro.vcs.objects import Commit, Signature, Tree
+
+        tree = Tree()
+        signature = Signature(name="alice", email="alice@example.org", timestamp=now_utc())
+        records = [(tree.oid, "tree", tree.serialize())]
+        expected: dict[str, tuple[str, ...]] = {}
+        parents: tuple[str, ...] = ()
+        for number in range(200):
+            commit = Commit(tree.oid, parents, signature, signature, f"c{number}")
+            records.append((commit.oid, "commit", commit.serialize()))
+            expected[commit.oid] = parents
+            parents = (commit.oid,)
+        store = ObjectStore(cache_size=16)  # walks miss the LRU and hit the index
+        store.put_raw_many(records)
+        keep = {oid for oid, _, _ in records}
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def walker():
+            try:
+                for _ in range(20):
+                    for oid, wanted in expected.items():
+                        assert store.commit_parents(oid) == wanted
+                        assert store.commit_tree(oid) == tree.oid
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def collector():
+            round_number = 0
+            while not stop.is_set():
+                filler = f"garbage {round_number}".encode()
+                store.backend.write(object_id("blob", filler), "blob", filler)
+                store.gc(keep)  # drops the filler, so the index is cleared
+                round_number += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            gc_thread = threading.Thread(target=collector)
+            walkers = [threading.Thread(target=walker) for _ in range(6)]
+            gc_thread.start()
+            for thread in walkers:
+                thread.start()
+            for thread in walkers:
+                thread.join(timeout=120)
+            stop.set()
+            gc_thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [gc_thread, *walkers])
+        if errors:
+            raise errors[0]
+
 
 class TestConcurrentPushes:
     """N writers race fast-forward pushes; no acknowledged update is lost."""

@@ -292,3 +292,35 @@ def test_memory_layout_embedded_corruption(tmp_path):
     report = fsck_working_copy(root)
     assert not report.ok
     assert "state" in _categories(report, "error")
+
+
+def test_citation_walk_parses_shared_history_once(tmp_path, monkeypatch):
+    """Many refs over one history: each commit is parsed once per walk, not per ref."""
+    from repro.vcs import fsck as fsck_module
+
+    root = tmp_path / "wc"
+    repo = _make_working_copy(root / "seed", "pack")
+    for number in range(8):
+        repo.write_file("/a.txt", f"alpha {number}\n")
+        repo.commit(f"c{number + 2}", author_name="alice")
+    tips = [info.oid for info in repo.log()]
+    for number in range(40):
+        repo.create_branch(f"topic-{number}", at=tips[number % len(tips)])
+    save_repository(repo, root, storage="pack")
+
+    parses: dict[bytes, int] = {}
+    original = fsck_module.deserialize_object
+
+    def counting(object_type, payload):
+        if object_type == "commit":
+            parses[payload] = parses.get(payload, 0) + 1
+        return original(object_type, payload)
+
+    monkeypatch.setattr(fsck_module, "deserialize_object", counting)
+    report = fsck_working_copy(root)
+    assert report.ok
+    assert report.refs_checked == 41
+    assert len(parses) == len(tips)
+    # One parse for the connectivity walk and one for the citation walk,
+    # however many of the 41 refs share each commit.
+    assert max(parses.values()) <= 2

@@ -5,9 +5,10 @@ reuse in ``write_tree``, the bisect-backed object-id prefix index, the
 citation parse cache, the range-scan citation index, the indexed worktree's
 blob-fingerprint cache (``add`` puts exactly the dirty blobs) and path index
 (single writes never iterate the worktree), and the pack backend's bounded
-handle pool — via call counts and object identity, never wall-clock timing,
-so tier-1 fails deterministically when a hot path regresses to its old
-complexity.
+handle pool, and the object store's commit-parent index (history walks
+longer than the parsed-object cache parse each commit once) — via call
+counts and object identity, never wall-clock timing, so tier-1 fails
+deterministically when a hot path regresses to its old complexity.
 
 Run just these with ``pytest -m perf_smoke``.
 """
@@ -21,10 +22,13 @@ from repro.citation.manager import CitationManager
 from repro.citation.record import Citation
 from repro.errors import ObjectNotFoundError
 from repro.utils.timeutil import now_utc
-from repro.vcs.object_store import ObjectStore
-from repro.vcs.objects import Blob, Tree
+from repro.vcs import object_store as object_store_module
+from repro.vcs.merge import is_ancestor_commit
+from repro.vcs.object_store import DEFAULT_CACHE_SIZE, ObjectStore
+from repro.vcs.objects import MODE_FILE, Blob, Commit, Signature, Tree, TreeEntry
 from repro.vcs.repository import Repository
 from repro.vcs.storage.pack import PackBackend
+from repro.vcs.transfer import negotiate
 from repro.vcs.treeops import subtree_oid
 from repro.vcs.worktree_state import WorktreeState
 
@@ -480,3 +484,57 @@ class TestCitationFunctionRangeIndex:
         moves = function.rename_prefix("/a", "/z")
         assert moves == {"/a": "/z", "/a/x.txt": "/z/x.txt"}
         assert function.active_domain() == ["/", "/ab", "/z", "/z/x.txt"]
+
+
+class TestCommitParentIndex:
+    """Ancestry walks longer than the LRU parse each commit once per store."""
+
+    @staticmethod
+    def _deep_history(length: int) -> tuple[ObjectStore, list[str]]:
+        """A linear history of ``length`` commits, stored raw (nothing parsed yet)."""
+        blob = Blob(b"payload\n")
+        tree = Tree(entries=(TreeEntry(name="file.txt", mode=MODE_FILE, oid=blob.oid),))
+        signature = Signature(name="alice", email="alice@example.org", timestamp=now_utc())
+        records = [(blob.oid, "blob", blob.serialize()), (tree.oid, "tree", tree.serialize())]
+        chain: list[str] = []
+        for number in range(length):
+            commit = Commit(
+                tree_oid=tree.oid,
+                parent_oids=tuple(chain[-1:]),
+                author=signature,
+                committer=signature,
+                message=f"commit {number}",
+            )
+            records.append((commit.oid, "commit", commit.serialize()))
+            chain.append(commit.oid)
+        store = ObjectStore()
+        store.put_raw_many(records)
+        return store, chain
+
+    @staticmethod
+    def _count_commit_parses(monkeypatch) -> dict[bytes, int]:
+        parses: dict[bytes, int] = {}
+        original = object_store_module.deserialize_object
+
+        def counting(object_type, payload):
+            if object_type == "commit":
+                parses[payload] = parses.get(payload, 0) + 1
+            return original(object_type, payload)
+
+        monkeypatch.setattr(object_store_module, "deserialize_object", counting)
+        return parses
+
+    def test_walks_past_the_cache_parse_each_commit_once(self, monkeypatch):
+        length = DEFAULT_CACHE_SIZE + 200
+        store, chain = self._deep_history(length)
+        parses = self._count_commit_parses(monkeypatch)
+        unrelated = "0" * 40
+        for _ in range(2):
+            plan = negotiate(store, [chain[-1]], haves=[chain[length // 2]])
+            assert len(plan.new_commits) == length - length // 2 - 1
+            assert plan.boundary == (chain[length // 2],)
+            # Not an ancestor: the check has to walk the whole history.
+            assert not is_ancestor_commit(store, unrelated, chain[-1])
+            assert is_ancestor_commit(store, chain[0], chain[-1])
+        assert len(parses) == length
+        assert max(parses.values()) == 1

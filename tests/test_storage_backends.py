@@ -14,6 +14,8 @@ import zlib
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     CorruptObjectError,
@@ -34,7 +36,7 @@ from repro.vcs.storage import (
     PackBackend,
     make_backend,
 )
-from repro.vcs.storage.pack import apply_delta, encode_delta
+from repro.vcs.storage.pack import DeltaWindow, apply_delta, encode_delta
 
 BACKEND_KINDS = ("memory", "loose", "pack")
 
@@ -257,6 +259,59 @@ class TestPackSpecifics:
         target = base.replace(b"line two", b"line 2") + b"appended tail\n"
         delta = encode_delta(base, target)
         assert apply_delta(base, delta) == target
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.binary(max_size=600),
+        target=st.binary(max_size=600),
+        splices=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=4),
+    )
+    @example(  # a copy ends where the next block hit could extend backwards into it
+        base=bytes(range(31)) + bytes([19]) + bytes(range(32, 64)),
+        target=bytes(range(20)) + bytes(range(32, 64)),
+        splices=[],
+    )
+    def test_delta_codec_round_trips_any_bytes(self, base, target, splices):
+        # Splicing runs of the base into the target gives the encoder real
+        # matches to find, at arbitrary offsets and overlaps.
+        for start, length in splices:
+            cut = start % (len(target) + 1)
+            target = target[:cut] + base[start:start + length] + target[cut:]
+        delta = encode_delta(base, target)
+        assert apply_delta(base, delta) == target
+        budgeted = encode_delta(base, target, max_literal=len(target) // 3)
+        assert budgeted is None or apply_delta(base, budgeted) == target
+
+    def test_delta_encoding_is_deterministic(self):
+        rng = random.Random(7)
+        base = bytes(rng.getrandbits(8) for _ in range(4000)) * 2
+        target = base[1000:5000] + b"inserted" + base[:900] + base[6000:]
+        first = encode_delta(base, target)
+        assert encode_delta(bytes(base), bytes(target)) == first
+        assert apply_delta(base, first) == target
+
+    def test_delta_gives_up_past_the_literal_budget(self):
+        rng = random.Random(11)
+        base = bytes(rng.getrandbits(8) for _ in range(2000))
+        unrelated = bytes(rng.getrandbits(8) for _ in range(2000))
+        assert encode_delta(base, unrelated, max_literal=500) is None
+        edited = base[:1000] + b"x" * 100 + base[1000:]
+        delta = encode_delta(base, edited, max_literal=500)
+        assert delta is not None and apply_delta(base, delta) == edited
+
+    def test_scattered_edits_are_delta_compressed(self):
+        rng = random.Random(3)
+        lines = [f"value_{i} = {rng.getrandbits(64):016x}\n" for i in range(300)]
+        base = "".join(lines).encode()
+        for i in range(0, 300, 25):  # twelve edits spread over the file
+            lines[i] = f"edited_{i} = {rng.getrandbits(64):016x}\n"
+        target = "".join(lines).encode()
+        window = DeltaWindow()
+        window.encode(object_id("blob", base), "blob", base)
+        header, body = window.encode(object_id("blob", target), "blob", target)
+        assert header.startswith(b"delta blob ")
+        assert len(body) < len(zlib.compress(target)) // 4
+        assert apply_delta(base, zlib.decompress(body)) == target
 
     def test_similar_blobs_are_delta_compressed(self, tmp_path):
         backend = PackBackend(tmp_path / "delta")

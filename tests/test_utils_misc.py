@@ -3,10 +3,13 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.hashing import object_id, sha1_hex, short_id
 from repro.utils.jsonutil import canonical_dump_bytes, canonical_dumps, pretty_dumps, stable_loads
 from repro.utils.timeutil import (
+    _TIMESTAMP_FORMAT,
     FixedClock,
     format_timestamp,
     now_utc,
@@ -47,6 +50,59 @@ class TestTimestamps:
         assert parse_timestamp("2018 -09 -04 T02:35:20Z") == datetime(
             2018, 9, 4, 2, 35, 20, tzinfo=timezone.utc
         )
+
+    @staticmethod
+    def _strptime_outcome(value):
+        """What the ``strptime``-only parser returns or raises for ``value``."""
+        try:
+            parsed = datetime.strptime(value.replace(" ", ""), _TIMESTAMP_FORMAT)
+        except ValueError as exc:
+            return ("error", str(exc))
+        return ("ok", parsed.replace(tzinfo=timezone.utc))
+
+    @staticmethod
+    def _outcome(value):
+        try:
+            return ("ok", parse_timestamp(value))
+        except ValueError as exc:
+            return ("error", str(exc))
+
+    @pytest.mark.parametrize("value", [
+        "2018-09-04T02:35:20Z",           # canonical: sliced
+        "2018 -09 -04 T02:35:20Z",        # Listing 1's typeset variant
+        "0001-01-01T00:00:00Z",
+        "9999-12-31T23:59:59Z",
+        "2018-9-4T2:35:20Z",              # short fields: strptime only
+        "2018-02-30T00:00:00Z",           # impossible date
+        "2018-13-01T00:00:00Z",           # month out of range
+        "2018-09-04T24:00:00Z",
+        "2018-09-04T02:35:60Z",           # strptime accepts 60, datetime does not
+        "0000-01-01T00:00:00Z",
+        "2018-09-04T02:35:20",            # missing zone
+        "2018-09-04 02:35:20Z",
+        "20a8-09-04T02:35:20Z",
+        "2018-0\u0663-04T02:35:20Z",      # non-ASCII digit
+        "+018-09-04T02:35:20Z",
+        "2_18-09-04T02:35:20Z",
+        "",
+        "not a timestamp",
+    ])
+    def test_fast_path_matches_strptime(self, value):
+        assert self._outcome(value) == self._strptime_outcome(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)))
+    def test_fast_path_matches_strptime_on_any_date(self, when):
+        text = (
+            f"{when.year:04d}-{when.month:02d}-{when.day:02d}"
+            f"T{when.hour:02d}:{when.minute:02d}:{when.second:02d}Z"
+        )
+        assert self._outcome(text) == self._strptime_outcome(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789-:TZ \u0663x", max_size=24))
+    def test_fast_path_matches_strptime_on_any_text(self, value):
+        assert self._outcome(value) == self._strptime_outcome(value)
 
     def test_naive_datetime_is_treated_as_utc(self):
         assert format_timestamp(datetime(2020, 1, 1)) == "2020-01-01T00:00:00Z"
