@@ -1094,6 +1094,27 @@ def bench_fsck(num_files: int = 5000, history_commits: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _ConnectionCountingServer(HubHttpServer):
+    """A hub server (and its own api wrapper) counting accepted connections and requests."""
+
+    def __init__(self, api) -> None:
+        super().__init__(self)
+        self.inner = api
+        self.accepts = 0
+        self.requests = 0
+        self._count_lock = threading.Lock()
+
+    def get_request(self):
+        accepted = super().get_request()
+        self.accepts += 1  # only the accept-loop thread runs this
+        return accepted
+
+    def request(self, method, url, token=None, payload=None):
+        with self._count_lock:
+            self.requests += 1
+        return self.inner.request(method, url, token=token, payload=payload)
+
+
 def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
     """N clients race fast-forward pushes over a real TCP socket.
 
@@ -1106,6 +1127,9 @@ def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
     threads against a live :class:`~repro.hub.httpd.HubHttpServer`.  The
     speedup floor is deliberately tiny: threaded Python over HTTP is about
     overlap under the GIL, and the point of the scenario is the invariant.
+    ``connections_per_request`` (accepted TCP connections over requests
+    served, threaded side) is the hardware-independent keep-alive gate: it
+    reads 1.0 when every request opens its own connection.
     """
 
     def build_hub() -> tuple[HostingPlatform, str]:
@@ -1140,6 +1164,7 @@ def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
                 break
             else:
                 raise RuntimeError(f"client {index} starved after 64 attempts")
+        wire.close()
         return acknowledged
 
     def audit(platform: HostingPlatform, acknowledged: list[str]) -> int:
@@ -1169,7 +1194,7 @@ def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
     optimized_acknowledged: list[str] = []
     failures: list[BaseException] = []
     lock = threading.Lock()
-    with HubHttpServer(RestApi(optimized_platform)) as server:
+    with _ConnectionCountingServer(RestApi(optimized_platform)) as server:
         url = server.url
 
         def client_thread(index: int) -> None:
@@ -1193,6 +1218,7 @@ def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
                 thread.join()
 
         optimized_s = _timed(run_optimized)
+        accepts, requests = server.accepts, server.requests
     if failures:
         raise failures[0]
     optimized_lost = audit(optimized_platform, optimized_acknowledged)
@@ -1213,6 +1239,7 @@ def bench_concurrent_push_pull(clients: int = 8, rounds: int = 3) -> dict:
         "rounds": rounds,
         "pushes_acknowledged": len(optimized_acknowledged),
         "lost_updates": optimized_lost,
+        "connections_per_request": accepts / requests,
     }
 
 

@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-body-mb", type=int, default=64,
                    help="largest request body accepted, in MiB (default: 64)")
     p.add_argument("--request-timeout", type=float, default=30.0,
-                   help="per-request socket timeout and deadline, seconds (default: 30)")
+                   help="socket timeout (also the keep-alive idle limit) and per-request "
+                        "deadline, seconds (default: 30)")
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="seconds to wait for in-flight requests at shutdown (default: 10)")
     p.set_defaults(func=serve.cmd_serve)

@@ -50,7 +50,7 @@ from repro.errors import (
 from repro.hub.models import Permission
 from repro.hub.server import HostingPlatform
 
-__all__ = ["ApiResponse", "RestApi"]
+__all__ = ["ApiResponse", "ApiVerbs", "RestApi"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,28 @@ class ApiResponse:
         return 200 <= self.status < 300
 
 
+class ApiVerbs:
+    """The convenience verbs, written once over ``self.request``.
+
+    Every layer of the client/server stack — :class:`RestApi`, the
+    lifecycle guard, the retry wrapper and the HTTP transport — speaks the
+    same ``request(method, url, token, payload)`` surface; mixing this in
+    gives each the matching ``get``/``put``/``post``/``delete``.
+    """
+
+    def get(self, url: str, token: Optional[str] = None) -> ApiResponse:
+        return self.request("GET", url, token=token)
+
+    def put(self, url: str, payload: dict, token: Optional[str] = None) -> ApiResponse:
+        return self.request("PUT", url, token=token, payload=payload)
+
+    def post(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
+        return self.request("POST", url, token=token, payload=payload)
+
+    def delete(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
+        return self.request("DELETE", url, token=token, payload=payload)
+
+
 @dataclass
 class _Route:
     method: str
@@ -72,7 +94,7 @@ class _Route:
     query: dict[str, str] = field(default_factory=dict)
 
 
-class RestApi:
+class RestApi(ApiVerbs):
     """Dispatch REST-style requests to a :class:`HostingPlatform`."""
 
     def __init__(self, platform: HostingPlatform) -> None:
@@ -139,20 +161,6 @@ class RestApi:
                     "retry_after": 5.0,
                 },
             )
-
-    # Convenience verbs ---------------------------------------------------
-
-    def get(self, url: str, token: Optional[str] = None) -> ApiResponse:
-        return self.request("GET", url, token=token)
-
-    def put(self, url: str, payload: dict, token: Optional[str] = None) -> ApiResponse:
-        return self.request("PUT", url, token=token, payload=payload)
-
-    def post(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
-        return self.request("POST", url, token=token, payload=payload)
-
-    def delete(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
-        return self.request("DELETE", url, token=token, payload=payload)
 
     # ------------------------------------------------------------------
     # Routing

@@ -21,13 +21,15 @@ needs no new cases.
 
 Thread-safety contract
 ----------------------
-``HubHttpServer`` handles each request on its own thread; it is safe exactly
+``HubHttpServer`` handles each connection on its own thread, and a
+connection carries many requests (HTTP/1.1 keep-alive); it is safe exactly
 because every layer below it is: the platform serialises per-repository
 mutations, ref moves are compare-and-swap, storage backends take a write
 lock, and the token authority and rate limiter lock their counters (see
-``docs/ARCHITECTURE.md``).  ``HttpTransport`` opens one connection per
-request and keeps no mutable state, so a single transport instance may be
-shared freely between client threads.
+``docs/ARCHITECTURE.md``).  ``HttpTransport`` keeps one persistent
+connection per client thread and reuses it across requests, so a single
+transport instance may be shared freely between client threads: no two
+threads ever touch the same connection.
 
 HTTP mapping
 ------------
@@ -38,13 +40,18 @@ HTTP mapping
   application/json``); an unparseable request body is a 400;
 * the :class:`~repro.hub.api.ApiResponse` status becomes the HTTP status
   line and its ``json`` the response body — including the ``retryable`` /
-  ``retry_after`` error fields documented in ``docs/WIRE_PROTOCOL.md``.
+  ``retry_after`` error fields documented in ``docs/WIRE_PROTOCOL.md``;
+* bodies are framed by ``Content-Length`` only: a negative length is a 400
+  and a ``Transfer-Encoding`` body a 411, and both close the connection,
+  because the bytes that follow can no longer be told apart from the next
+  request.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 from http.client import HTTPConnection, HTTPException
@@ -54,7 +61,7 @@ from urllib.parse import urlsplit
 
 from repro.errors import ReproError, TransportError
 from repro.faults import SimulatedCrash
-from repro.hub.api import ApiResponse, RestApi
+from repro.hub.api import ApiResponse, ApiVerbs, RestApi
 
 __all__ = ["HubHttpServer", "HttpTransport", "serve_platform"]
 
@@ -70,19 +77,45 @@ DEFAULT_MAX_RESPONSE_BYTES = 256 * 1024 * 1024
 #: vanished or stalled, which is its prerogative, not a server fault.
 _CLIENT_GONE = (BrokenPipeError, ConnectionResetError, TimeoutError)
 
+#: How a kept-alive connection the server has already closed fails before
+#: any status line arrives (``RemoteDisconnected`` is a reset subclass).
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
 
 class _HubRequestHandler(BaseHTTPRequestHandler):
-    """Translate one HTTP exchange into one ``RestApi.request`` call."""
+    """Translate each HTTP exchange on one connection into a ``RestApi.request`` call."""
 
     protocol_version = "HTTP/1.1"
     server_version = "gitcite-hub/1.0"
+    # Headers and body go out in two writes; without TCP_NODELAY the second
+    # waits on the client's delayed ACK of the first on a reused connection.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         # A per-connection socket timeout: a client that stops sending (or
-        # reading) mid-exchange gets its connection dropped instead of
-        # pinning this handler thread forever.
+        # reading) mid-exchange, or leaves a kept-alive connection idle,
+        # gets its connection dropped instead of pinning this thread forever.
         self.timeout = self.server.request_timeout
         super().setup()
+
+    def handle(self) -> None:
+        # Between requests the connection is registered idle, so stop() can
+        # close it instead of leaving it to answer after the server stopped.
+        try:
+            while self.server._set_idle(self.connection, True):
+                self.handle_one_request()
+                if self.close_connection:
+                    break
+        finally:
+            self.server._set_idle(self.connection, False)
+
+    def parse_request(self) -> bool:
+        # A request line arrived.  Once the server is stopped it is read
+        # but never answered: the connection just closes.
+        if not self.server._set_idle(self.connection, False):
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def _token(self) -> Optional[str]:
         header = self.headers.get("Authorization")
@@ -92,13 +125,28 @@ class _HubRequestHandler(BaseHTTPRequestHandler):
         # "token <v>" (GitHub style) or "Bearer <v>"; a bare value also works.
         return parts[1].strip() if len(parts) == 2 else parts[0].strip()
 
+    def _reject_framing(self, status: int, message: str):
+        """Answer a body whose extent is unknown, then close the connection.
+
+        The unread bytes would otherwise be parsed as the next request on a
+        kept-alive connection.
+        """
+        self.close_connection = True
+        self._send(status, {"message": message, "retryable": False})
+        return False, None
+
     def _read_payload(self):
-        """Return ``(ok, payload)``; a malformed body answers 400 itself."""
+        """Return ``(ok, payload)``; a malformed body answers 4xx itself."""
+        if self.headers.get("Transfer-Encoding"):
+            return self._reject_framing(
+                411, "Transfer-Encoding bodies are not accepted; send Content-Length"
+            )
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send(400, {"message": "invalid Content-Length header", "retryable": False})
-            return False, None
+            return self._reject_framing(400, "invalid Content-Length header")
+        if length < 0:
+            return self._reject_framing(400, "negative Content-Length header")
         if not length:
             return True, None
         if length > self.server.max_body_bytes:
@@ -171,6 +219,9 @@ class _HubRequestHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                # Tell the client not to reuse a connection we will close.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
         except _CLIENT_GONE:
@@ -200,7 +251,7 @@ class _HubRequestHandler(BaseHTTPRequestHandler):
 
 
 class HubHttpServer(ThreadingHTTPServer):
-    """``RestApi`` behind a real listening TCP socket, one thread per request.
+    """``RestApi`` behind a real listening TCP socket, one thread per connection.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`).
     Use as a context manager — entering starts the accept loop on a
@@ -213,6 +264,11 @@ class HubHttpServer(ThreadingHTTPServer):
     or call :meth:`start` / :meth:`stop` explicitly.  ``api`` may be any
     object with the ``RestApi.request`` signature (a bare :class:`RestApi`,
     or one already wrapped in instrumentation).
+
+    Connections are kept alive between requests for up to
+    ``request_timeout`` seconds.  :meth:`stop` closes the idle ones; a
+    request that still arrives on a kept-alive connection after that is
+    read but never answered.
     """
 
     daemon_threads = True
@@ -239,6 +295,19 @@ class HubHttpServer(ThreadingHTTPServer):
         #: request thread kills the whole process, like a real crash would.
         self.exit_on_crash = exit_on_crash
         self._thread: Optional[threading.Thread] = None
+        self._connections_lock = threading.Lock()
+        #: Kept-alive connections waiting for their next request line.
+        self._idle: set[socket.socket] = set()  # guarded-by: _connections_lock
+        self._stopped = False  # guarded-by: _connections_lock
+
+    def _set_idle(self, connection: socket.socket, idle: bool) -> bool:
+        """Record whether ``connection`` awaits its next request; False once stopped."""
+        with self._connections_lock:
+            if idle and not self._stopped:
+                self._idle.add(connection)
+            else:
+                self._idle.discard(connection)
+            return not self._stopped
 
     def handle_error(self, request, client_address) -> None:
         """Client disconnects and stalls are routine, not tracebacks."""
@@ -270,7 +339,20 @@ class HubHttpServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
-        """Stop the accept loop (if running) and close the listening socket."""
+        """Stop accepting, close idle connections and the listening socket.
+
+        A request already being handled runs to completion; one that
+        arrives later on a kept-alive connection is not answered.
+        """
+        with self._connections_lock:
+            self._stopped = True
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                # Wakes the handler blocked on the next request line with EOF.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it first
         if self._thread is not None:
             self.shutdown()
             self._thread.join()
@@ -289,24 +371,36 @@ def serve_platform(platform, host: str = "127.0.0.1", port: int = 0) -> HubHttpS
     return HubHttpServer(RestApi(platform), host=host, port=port).start()
 
 
-class HttpTransport:
-    """The ``RestApi`` verb surface spoken over a real HTTP connection.
+class HttpTransport(ApiVerbs):
+    """The ``RestApi`` verb surface spoken over persistent HTTP connections.
 
     ``base`` is either a full ``http://host:port`` URL (e.g.
     :attr:`HubHttpServer.url`) or a bare host, with ``port`` given
-    separately.  One connection is opened per request —
-    :class:`http.client.HTTPConnection` is not thread-safe, the hub's
-    endpoints are stateless, and per-request connections are what make a
-    single shared transport instance safe for N client threads.
+    separately.  Each client thread gets its own HTTP/1.1 connection
+    and reuses it for every request it makes —
+    :class:`http.client.HTTPConnection` is not thread-safe, so per-thread
+    connections are what make a single shared transport instance safe for
+    N client threads.  A connection is dropped when the server says it
+    will close, on any send/read error, and when a response exceeds the
+    cap; the thread's next request opens a fresh one.  :meth:`close`
+    closes them all; a thread that exits has its connection closed by the
+    transport's next connect.
+
+    A *reused* connection that fails before any status line arrives (reset,
+    broken pipe, remote disconnect) is how a connection the server closed
+    while idle looks, so the request is re-sent once on a fresh connection.
+    The server may have seen the first send; the re-send leans on the same
+    endpoint idempotence as :class:`~repro.hub.retry.RetryingApi`.
 
     Socket-level failures raise :class:`~repro.errors.TransportError`
     (always retryable — the server may or may not have acted, which is the
     ambiguity :class:`~repro.hub.retry.RetryingApi` plus the idempotent
     wire endpoints resolve).  The error message names the phase that died —
-    ``connect`` (the server never saw the request; a retry is free) versus
-    ``request/read`` (the server may have acted; the retry leans on endpoint
-    idempotence).  Non-2xx responses are *returned*, not raised, exactly
-    like the in-process :class:`RestApi`.
+    ``connect`` (a fresh connection could not be opened, so the server
+    never saw the request; a retry is free) versus ``request/read`` (the
+    server may have acted; the retry leans on endpoint idempotence).
+    Non-2xx responses are *returned*, not raised, exactly like the
+    in-process :class:`RestApi`.
 
     ``max_response_bytes`` bounds how much response body the transport will
     buffer: a huge (or hostile — Content-Length lies, the stream just keeps
@@ -334,6 +428,59 @@ class HttpTransport:
         self.timeout = timeout
         self.connect_timeout = connect_timeout if connect_timeout is not None else timeout
         self.max_response_bytes = max_response_bytes
+        self._connections_lock = threading.Lock()
+        #: Each client thread's open connection; a thread only ever uses its own.
+        self._connections: dict[threading.Thread, HTTPConnection] = {}  # guarded-by: _connections_lock
+
+    def _connect(self, method: str, url: str, stale: Optional[Exception] = None) -> HTTPConnection:
+        """Open this thread's fresh connection, or raise :class:`TransportError`.
+
+        ``stale`` is the failure of the reused connection this one replaces;
+        the message then says the request may already have been sent.
+        """
+        connection = HTTPConnection(self.host, self.port, timeout=self.connect_timeout)
+        try:
+            connection.connect()
+        except (OSError, HTTPException) as exc:
+            connection.close()
+            if stale is not None:
+                raise TransportError(
+                    f"{method} {url}: request/read failed on a reused connection "
+                    f"({stale}), and the re-send could not reach "
+                    f"{self.host}:{self.port}: {exc}"
+                ) from exc
+            reason = "connect timeout" if isinstance(exc, TimeoutError) else "connect failed"
+            raise TransportError(
+                f"{method} {url}: {reason} "
+                f"({self.host}:{self.port}, {self.connect_timeout:.1f}s): {exc}"
+            ) from exc
+        # Connected: the remaining socket operations (send, await the
+        # response, drain the body) run under the read timeout.
+        connection.sock.settimeout(self.timeout)
+        with self._connections_lock:
+            for owner in [owner for owner in self._connections if not owner.is_alive()]:
+                self._connections.pop(owner).close()  # its thread has exited
+            self._connections[threading.current_thread()] = connection
+        return connection
+
+    def _drop(self) -> None:
+        """Close the calling thread's connection; its next request opens a fresh one."""
+        with self._connections_lock:
+            connection = self._connections.pop(threading.current_thread(), None)
+        if connection is not None:
+            connection.close()
+
+    def close(self) -> None:
+        """Close every connection this transport holds open.
+
+        Call it when no request is in flight; the transport stays usable,
+        and each thread's next request opens a fresh connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     def _read_capped(self, response, method: str, url: str) -> bytes:
         """Drain the response body, refusing to buffer past the cap."""
@@ -365,47 +512,40 @@ class HttpTransport:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection = HTTPConnection(self.host, self.port, timeout=self.connect_timeout)
+        connection = self._connections.get(threading.current_thread())
+        reused = connection is not None
         try:
-            try:
-                connection.connect()
-            except (OSError, HTTPException) as exc:
-                reason = "connect timeout" if isinstance(exc, TimeoutError) else "connect failed"
-                raise TransportError(
-                    f"{method} {url}: {reason} "
-                    f"({self.host}:{self.port}, {self.connect_timeout:.1f}s): {exc}"
-                ) from exc
-            # Connected: the remaining socket operations (send, await the
-            # response, drain the body) run under the read timeout.
-            connection.sock.settimeout(self.timeout)
+            if not reused:
+                connection = self._connect(method, url)
             try:
                 connection.request(method.upper(), url, body=body, headers=headers)
                 response = connection.getresponse()
-                status = response.status
-                raw = self._read_capped(response, method, url)
-            except (OSError, HTTPException) as exc:
-                reason = "read timeout" if isinstance(exc, TimeoutError) else "request/read failed"
-                raise TransportError(
-                    f"{method} {url}: {reason} (after connect, {self.timeout:.1f}s): {exc}"
-                ) from exc
-        finally:
-            connection.close()
+            except _STALE_CONNECTION as stale:
+                if not reused:
+                    raise
+                # The server closed this kept-alive connection while it sat
+                # idle: re-send once on a fresh one.
+                self._drop()
+                connection = self._connect(method, url, stale=stale)
+                connection.request(method.upper(), url, body=body, headers=headers)
+                response = connection.getresponse()
+            status = response.status
+            raw = self._read_capped(response, method, url)
+        except (OSError, HTTPException) as exc:
+            self._drop()
+            reason = "read timeout" if isinstance(exc, TimeoutError) else "request/read failed"
+            raise TransportError(
+                f"{method} {url}: {reason} (after connect, {self.timeout:.1f}s): {exc}"
+            ) from exc
+        except TransportError:
+            # A failed connect, or a cap overrun that leaves the connection
+            # mid-response where it cannot carry another request.
+            self._drop()
+            raise
+        if response.will_close:
+            self._drop()
         try:
             parsed = json.loads(raw.decode("utf-8")) if raw else None
         except (UnicodeDecodeError, ValueError):
             parsed = None
         return ApiResponse(status=status, json=parsed)
-
-    # The RestApi convenience verbs, so the transport is a drop-in api.
-
-    def get(self, url: str, token: Optional[str] = None) -> ApiResponse:
-        return self.request("GET", url, token=token)
-
-    def put(self, url: str, payload: dict, token: Optional[str] = None) -> ApiResponse:
-        return self.request("PUT", url, token=token, payload=payload)
-
-    def post(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
-        return self.request("POST", url, token=token, payload=payload)
-
-    def delete(self, url: str, payload: Optional[dict] = None, token: Optional[str] = None) -> ApiResponse:
-        return self.request("DELETE", url, token=token, payload=payload)

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.hub.api import ApiResponse
+from repro.hub.api import ApiResponse, ApiVerbs
 
 __all__ = ["ServingState", "GuardedApi", "drain", "HEALTH_ROUTE"]
 
@@ -206,7 +206,7 @@ class ServingState:
             }
 
 
-class GuardedApi:
+class GuardedApi(ApiVerbs):
     """Lifecycle enforcement around any ``RestApi``-shaped object.
 
     ``probe`` is the degradation-recovery check ``/healthz`` runs while the
@@ -277,20 +277,6 @@ class GuardedApi:
                     None,
                 )
         return response
-
-    # The RestApi convenience verbs, so the guard is a drop-in api.
-
-    def get(self, url, token=None):
-        return self.request("GET", url, token=token)
-
-    def put(self, url, payload, token=None):
-        return self.request("PUT", url, token=token, payload=payload)
-
-    def post(self, url, payload=None, token=None):
-        return self.request("POST", url, token=token, payload=payload)
-
-    def delete(self, url, payload=None, token=None):
-        return self.request("DELETE", url, token=token, payload=payload)
 
 
 def drain(state: ServingState, http_server=None, timeout: float = 10.0) -> bool:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import TransportError
+from repro.hub.api import ApiVerbs
 
 __all__ = ["RetryPolicy", "RetryingApi"]
 
@@ -93,7 +94,7 @@ def _retry_after_hint(response) -> Optional[float]:
     return float(hint) if isinstance(hint, (int, float)) else None
 
 
-class RetryingApi:
+class RetryingApi(ApiVerbs):
     """A drop-in :class:`~repro.hub.api.RestApi` wrapper that retries.
 
     ``sleep`` is how time passes between attempts — inject a fake for
@@ -137,17 +138,3 @@ class RetryingApi:
         if last_error is not None:
             raise last_error
         return response
-
-    # The RestApi convenience verbs, routed through the retry loop.
-
-    def get(self, url, token=None):
-        return self.request("GET", url, token=token)
-
-    def put(self, url, payload, token=None):
-        return self.request("PUT", url, token=token, payload=payload)
-
-    def post(self, url, payload=None, token=None):
-        return self.request("POST", url, token=token, payload=payload)
-
-    def delete(self, url, payload=None, token=None):
-        return self.request("DELETE", url, token=token, payload=payload)

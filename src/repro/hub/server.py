@@ -10,7 +10,7 @@ of ForkCite (fork) and the local tool's publish step (receive a push).
 Thread-safety contract
 ----------------------
 The platform serves concurrent requests (it sits behind
-:class:`~repro.hub.httpd.HubHttpServer`, one thread per request):
+:class:`~repro.hub.httpd.HubHttpServer`, one thread per connection):
 
 * account and repository *registration* (register_user, host_repository,
   fork) runs under the platform lock so two requests cannot claim the same

@@ -11,16 +11,18 @@ tests cover, now with a genuine socket in the middle.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
-from http.client import HTTPConnection
+import time
+from http.client import HTTPConnection, HTTPResponse
 from pathlib import Path
 
 import pytest
 
 from repro.errors import TransportError
-from repro.hub.api import RestApi
+from repro.hub.api import ApiResponse, RestApi
 from repro.hub.httpd import HttpTransport, HubHttpServer, serve_platform
 from repro.hub.retry import RetryingApi, RetryPolicy
 from repro.hub.server import HostingPlatform
@@ -49,7 +51,9 @@ def server(platform):
 
 @pytest.fixture
 def wire(server) -> HttpTransport:
-    return HttpTransport(server.url)
+    transport = HttpTransport(server.url)
+    yield transport
+    transport.close()
 
 
 class TestServerBasics:
@@ -138,6 +142,227 @@ class TestServerBasics:
         assert statuses == [200] * 12
 
 
+class _CountingServer(HubHttpServer):
+    """A hub server that counts the TCP connections it accepts."""
+
+    accepts = 0
+
+    def get_request(self):
+        accepted = super().get_request()
+        self.accepts += 1  # only the accept-loop thread runs this
+        return accepted
+
+
+class _CountingApi:
+    """Counts the requests that reach the API behind the socket."""
+
+    def __init__(self, api, gate: threading.Event = None) -> None:
+        self.api = api
+        self.gate = gate
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def request(self, method, url, token=None, payload=None) -> ApiResponse:
+        with self._lock:
+            self.calls += 1
+        if self.gate is not None:
+            self.gate.wait(5.0)
+        return self.api.request(method, url, token=token, payload=payload)
+
+
+def _read_response_status(raw: socket.socket) -> int:
+    """Read one whole response off a raw socket; return its status."""
+    raw.settimeout(5.0)
+    response = HTTPResponse(raw)
+    response.begin()
+    response.read()
+    return response.status
+
+
+def _read_until_closed(raw: socket.socket) -> bytes:
+    """Everything the server sends before closing; a 1 s silence fails the test."""
+    raw.settimeout(1.0)
+    received = b""
+    while True:
+        chunk = raw.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
+
+
+class TestKeepAlive:
+    """One persistent connection per client thread, reused across requests."""
+
+    def test_sequential_requests_share_one_connection(self, platform):
+        with _CountingServer(RestApi(platform)) as server:
+            wire = HttpTransport(server.url, timeout=10)
+            for _ in range(10):
+                assert wire.get("/repos/alice/demo/git/refs").status == 200
+            assert server.accepts == 1
+            wire.close()  # the transport stays usable on a fresh connection
+            assert wire.get("/repos/alice/demo/git/refs").status == 200
+            assert server.accepts == 2
+            wire.close()
+
+    def test_threads_sharing_a_transport_use_a_connection_each(self, platform):
+        statuses = []
+        lock = threading.Lock()
+        with _CountingServer(RestApi(platform)) as server:
+            wire = HttpTransport(server.url, timeout=10)
+
+            def fetch():
+                for _ in range(5):
+                    response = wire.get("/repos/alice/demo/git/refs")
+                    with lock:
+                        statuses.append(response.status)
+
+            threads = [threading.Thread(target=fetch) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads aggressively
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert statuses == [200] * 40
+            assert 1 <= server.accepts <= 8
+            wire.close()
+
+    def test_connection_closed_by_idle_timeout_is_replaced_transparently(self, platform):
+        with _CountingServer(RestApi(platform), request_timeout=0.3) as server:
+            wire = HttpTransport(server.url, timeout=10)
+            assert wire.get("/repos/alice/demo/git/refs").status == 200
+            time.sleep(0.8)  # the server drops the idle connection
+            assert wire.get("/repos/alice/demo/git/refs").status == 200
+            assert server.accepts == 2
+            wire.close()
+
+    def test_stopped_server_does_not_answer_a_kept_alive_connection(self, platform):
+        api = _CountingApi(RestApi(platform))
+        server = HubHttpServer(api).start()
+        wire = HttpTransport(server.url, timeout=5, connect_timeout=1)
+        assert wire.get("/repos/alice/demo/git/refs").status == 200
+        server.stop()
+        with pytest.raises(TransportError) as caught:
+            wire.get("/repos/alice/demo/git/refs")
+        assert api.calls == 1
+        # The first send may have reached the server: not a connect failure.
+        assert "reused connection" in str(caught.value)
+        assert "connect failed" not in str(caught.value)
+
+    def test_stop_closes_idle_connections_and_lets_in_flight_finish(self, platform):
+        gate = threading.Event()
+        api = _CountingApi(RestApi(platform), gate=gate)
+        server = HubHttpServer(api).start()
+        request = b"GET /repos/alice/demo/git/refs HTTP/1.1\r\nHost: hub\r\n\r\n"
+        idle = socket.create_connection((server.host, server.port))
+        busy = socket.create_connection((server.host, server.port))
+        try:
+            gate.set()
+            idle.sendall(request)
+            assert _read_response_status(idle) == 200
+            gate.clear()
+            busy.sendall(request)
+            deadline = time.monotonic() + 5.0
+            while api.calls < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            # The idle connection is closed at once ...
+            assert _read_until_closed(idle) == b""
+            # ... the in-flight request is still answered, and a second
+            # request on the same connection after stop() is not.
+            gate.set()
+            assert _read_response_status(busy) == 200
+            stopper.join(5.0)
+            try:
+                busy.sendall(request)
+                answer = _read_until_closed(busy)
+            except (BrokenPipeError, ConnectionResetError):
+                answer = b""  # closed before the request even landed
+            assert answer == b""
+            assert api.calls == 2
+        finally:
+            gate.set()
+            idle.close()
+            busy.close()
+            server.stop()
+
+    def test_draining_sheds_503_on_a_live_connection_then_stops_answering(self, platform):
+        from repro.hub.lifecycle import GuardedApi, ServingState, drain
+
+        state = ServingState()
+        server = _CountingServer(GuardedApi(RestApi(platform), state)).start()
+        wire = HttpTransport(server.url, timeout=5, connect_timeout=1)
+        assert wire.get("/repos/alice/demo/git/refs").status == 200
+        state.start_draining()
+        shed = wire.get("/repos/alice/demo/git/refs")
+        assert shed.status == 503 and shed.json["retryable"] is True
+        assert server.accepts == 1  # answered on the kept-alive connection
+        assert drain(state, http_server=server, timeout=5.0)
+        with pytest.raises(TransportError):
+            wire.get("/repos/alice/demo/git/refs")
+
+    def test_oversized_body_close_is_followed_by_a_fresh_connection(self, platform):
+        with _CountingServer(RestApi(platform), max_body_bytes=1024) as server:
+            wire = HttpTransport(server.url, timeout=10)
+            assert wire.get("/repos/alice/demo/git/refs").status == 200
+            rejected = wire.post("/repos/alice/demo/git/receive-pack", {"bundle": "A" * 4096})
+            assert rejected.status == 422
+            assert wire.get("/repos/alice/demo/git/refs").status == 200
+            assert server.accepts == 2
+            wire.close()
+
+    def test_response_cap_overrun_is_followed_by_a_fresh_connection(self, platform):
+        with _CountingServer(RestApi(platform)) as server:
+            wire = HttpTransport(server.url, timeout=10, max_response_bytes=100)
+            assert wire.get("/nope").status == 404  # a short body, under the cap
+            with pytest.raises(TransportError, match="client limit"):
+                wire.get("/repos/alice/demo/git/refs")
+            assert wire.get("/nope").status == 404
+            assert server.accepts == 2
+            wire.close()
+
+
+class TestHostileFraming:
+    """Bodies whose extent is unknown are refused at once, then the connection closes."""
+
+    def _exchange(self, platform, head: bytes) -> bytes:
+        # At a 3 s socket timeout a handler that waits on the body would
+        # outlast the 1 s the client allows.
+        with HubHttpServer(RestApi(platform), request_timeout=3.0) as server:
+            raw = socket.create_connection((server.host, server.port))
+            try:
+                raw.sendall(head)
+                return _read_until_closed(raw)
+            finally:
+                raw.close()
+
+    def test_negative_content_length_is_400(self, platform):
+        answer = self._exchange(
+            platform,
+            b"POST /repos/alice/demo/git/upload-pack HTTP/1.1\r\n"
+            b"Content-Length: -1\r\n\r\n{}",
+        )
+        assert answer.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in answer
+        assert json.loads(answer.split(b"\r\n\r\n", 1)[1])["retryable"] is False
+
+    def test_chunked_body_is_411_and_never_parsed_as_a_request(self, platform):
+        answer = self._exchange(
+            platform,
+            b"POST /repos/alice/demo/git/upload-pack HTTP/1.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert answer.startswith(b"HTTP/1.1 411")
+        assert answer.count(b"HTTP/1.1 ") == 1  # the chunk bytes got no answer
+        assert json.loads(answer.split(b"\r\n\r\n", 1)[1])["retryable"] is False
+
+
 class TestRemoteOverSocket:
     """HubRemote + RetryingApi running over the real wire."""
 
@@ -217,6 +442,7 @@ class TestServeCommand:
             assert "main" in {branch["name"] for branch in refs.json["branches"]}
             authed = wire.get("/user", token=token)
             assert authed.status == 200 and authed.json["login"] == "alice"
+            wire.close()
         finally:
             process.send_signal(signal.SIGINT)
             out, err = process.communicate(timeout=30)
