@@ -6,8 +6,7 @@ identical inputs, and verifies that both produce identical outputs.  The
 machine-readable results file gives this and future PRs a recorded
 performance trajectory::
 
-    PYTHONPATH=src python benchmarks/run_all.py           # scenarios only
-    PYTHONPATH=src python benchmarks/run_all.py --full    # + pytest-benchmark suite
+    PYTHONPATH=src python benchmarks/run_all.py
 
 Output schema (``BENCH_results.json`` at the repository root)::
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import subprocess
 import sys
 import tempfile
 import threading
@@ -47,7 +45,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.citation.citefile import CITATION_FILE_PATH, load_citation_bytes  # noqa: E402
-from repro.cli.storage import load_repository, save_repository  # noqa: E402
 from repro.citation.retro import AttributionIndex, FileAttribution  # noqa: E402
 from repro.errors import RemoteError, ValidationError  # noqa: E402
 from repro.hub.api import RestApi  # noqa: E402
@@ -74,6 +71,7 @@ from repro.vcs.repository import Repository  # noqa: E402
 from repro.vcs.storage import MemoryBackend, make_backend  # noqa: E402
 from repro.vcs.storage.pack import PackBackend  # noqa: E402
 from repro.vcs.treeops import build_tree  # noqa: E402
+from repro.vcs.workingcopy import load_repository, save_repository  # noqa: E402
 from repro.workloads.generator import (  # noqa: E402
     WorkloadConfig,
     generate_citation,
@@ -696,11 +694,9 @@ def bench_checkout_switch(num_files: int = 5000, num_changed: int = 25, switches
         repo.refs.detach_head(commit_oid)
         commit = repo.store.get_commit(commit_oid)
         files = flatten_files(repo.store, commit.tree_oid)
-        state = WorktreeState()
-        state.load_committed(
-            (path, repo.store.get_blob(oid).data, oid) for path, (oid, _) in files.items()
+        repo._worktree = WorktreeState(
+            {path: repo.store.get_blob(oid).data for path, (oid, _) in files.items()}
         )
-        repo._worktree = state
         repo.index.read_tree(repo.store, commit.tree_oid)
         repo._notify_worktree_reload()
 
@@ -1412,11 +1408,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(SCENARIOS),
         help="run only this scenario (repeatable)",
     )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="also run the pytest-benchmark suite (slow; records its exit code)",
-    )
     args = parser.parse_args(argv)
 
     results = run_scenarios(args.scenario)
@@ -1426,15 +1417,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "results": results,
     }
-
-    if args.full:
-        print("running pytest-benchmark suite ...", flush=True)
-        completed = subprocess.run(
-            [sys.executable, "-m", "pytest", str(_REPO_ROOT / "benchmarks"), "--benchmark-only", "-q"],
-            cwd=_REPO_ROOT,
-            env={**__import__("os").environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
-        )
-        payload["pytest_benchmark_exit_code"] = completed.returncode
 
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\nwrote {args.output}")

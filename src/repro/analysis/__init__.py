@@ -31,7 +31,7 @@ Rules (see ``docs/ANALYSIS.md`` for the annotation grammar):
     and an arming test; no call site names an undeclared failpoint.
 ``docs-consistency``
     Every package is mentioned in ``docs/ARCHITECTURE.md`` and every
-    relative markdown link resolves (the old ``tools/check_docs.py``).
+    relative markdown link resolves.
 
 Entry points: ``gitcite analyze`` (CLI) and :func:`run_analysis`.
 A committed baseline file (``tools/analysis_baseline.json``) lets

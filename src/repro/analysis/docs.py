@@ -1,8 +1,7 @@
 """``docs-consistency`` — the reference docs track the tree.
 
-The engine-resident successor of ``tools/check_docs.py`` (which remains
-as a thin shim), so CI runs one analysis entry point.  Two checks, both
-cheap and deliberately dumb:
+Part of ``gitcite analyze``, so CI runs one analysis entry point for
+every static invariant.  Two checks, both cheap and deliberately dumb:
 
 * **Coverage** — every package under ``src/<package>/`` (and every
   top-level cross-cutting module) is mentioned in

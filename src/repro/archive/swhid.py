@@ -12,8 +12,7 @@ the same directory identifier).
 Note: real SWHIDs for directories/revisions are computed over Git's binary
 object encoding; our substrate uses a simpler textual tree/commit encoding,
 so digests differ from softwareheritage.org's for the same content, but the
-identifier *structure* and intrinsic-ness are preserved (see DESIGN.md's
-substitution table).
+identifier *structure* and intrinsic-ness are preserved.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from repro.errors import BundleError, CLIError, RefError, RemoteError
-from repro.cli.storage import is_working_copy, load_repository, save_repository
 from repro.vcs.transfer import (
     advertise_refs,
     apply_bundle,
@@ -24,6 +23,7 @@ from repro.vcs.transfer import (
     update_refs_from_bundle,
     verify_bundle,
 )
+from repro.vcs.workingcopy import is_working_copy, load_repository, save_repository
 
 __all__ = ["cmd_bundle_create", "cmd_bundle_verify", "cmd_bundle_unbundle"]
 

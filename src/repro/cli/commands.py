@@ -23,7 +23,7 @@ from repro.citation.retro import retrofit
 from repro.formats import render
 from repro.utils.timeutil import now_utc, parse_timestamp
 from repro.vcs.repository import Repository
-from repro.cli.storage import is_working_copy, load_repository, save_repository
+from repro.vcs.workingcopy import is_working_copy, load_repository, save_repository
 
 __all__ = [
     "cmd_init",

@@ -35,7 +35,6 @@ import signal
 import threading
 
 from repro import faults
-from repro.cli.storage import save_repository
 from repro.errors import CLIError, ReproError
 from repro.hub.api import RestApi
 from repro.hub.durability import PushJournal, journal_path, recover_working_copy
@@ -43,6 +42,7 @@ from repro.hub.httpd import HubHttpServer
 from repro.hub.lifecycle import GuardedApi, ServingState, drain
 from repro.hub.ratelimit import RateLimiter
 from repro.hub.server import HostingPlatform
+from repro.vcs.workingcopy import save_repository
 
 __all__ = ["cmd_serve", "FAULTS_ENV"]
 

@@ -1,12 +1,7 @@
 """``gitcite storage`` maintenance commands (repack / gc / migrate).
 
-The working-copy persistence that used to live here —
-``save_repository``, ``load_repository``, ``switch_storage`` and
-friends — moved down to :mod:`repro.vcs.workingcopy`: the hub's
-durability recovery and ``Repository.load`` depend on it, and neither
-may import upward into the CLI layer (the ``layering`` analysis rule
-enforces that).  This module keeps the historical import surface as
-re-exports and implements only the actual subcommands.
+The working-copy persistence these commands drive lives in
+:mod:`repro.vcs.workingcopy`.
 """
 
 from __future__ import annotations
@@ -14,30 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.vcs.workingcopy import (
-    STATE_DIR,
-    STATE_FILE,
-    backend_root,
-    is_working_copy,
-    load_repository,
-    reachable_from_refs,
-    save_repository,
-    switch_storage,
-)
+from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository, switch_storage
 
-__all__ = [
-    "STATE_DIR",
-    "STATE_FILE",
-    "backend_root",
-    "is_working_copy",
-    "save_repository",
-    "load_repository",
-    "switch_storage",
-    "reachable_from_refs",
-    "cmd_storage_repack",
-    "cmd_storage_gc",
-    "cmd_storage_migrate",
-]
+__all__ = ["cmd_storage_repack", "cmd_storage_gc", "cmd_storage_migrate"]
 
 
 def _print(message: str = "") -> None:

@@ -14,7 +14,7 @@ Section 3 describes the popup's behaviour precisely:
   attach it to the current node.
 
 :class:`PopupSession` models exactly those interactions so the reproduction
-of Figure 2 (benchmark FIG2-EXTENSION-POPUP) can assert on the rendered
+of Figure 2 (``tests/test_scenarios_integration.py``) can assert on the rendered
 state, not just on API effects.
 """
 

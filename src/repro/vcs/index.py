@@ -3,7 +3,7 @@
 The index is the flat set of ``path → (blob id, mode)`` entries that the next
 commit will snapshot.  ``Repository.add`` copies working-tree content into
 blobs and records them here; ``Repository.commit`` turns the index into nested
-tree objects via :func:`repro.vcs.treeops.build_tree_incremental`.
+tree objects via :func:`repro.vcs.treeops.build_tree_from_sorted_index`.
 
 Two structures make the hot paths cheap:
 

@@ -22,7 +22,6 @@ __all__ = [
     "flatten_tree",
     "flatten_files",
     "build_tree",
-    "build_tree_incremental",
     "build_tree_from_sorted_index",
     "tree_closure",
     "lookup_path",
@@ -79,99 +78,43 @@ def build_tree(store: ObjectStore, files: Mapping[str, tuple[str, str]]) -> str:
 
     Only file entries may be supplied; directories are created implicitly.
     Returns the id of the root tree (an empty map produces an empty tree).
-    Paths may be in any of the accepted loose forms; canonicalisation and
-    the actual materialisation are delegated to
-    :func:`build_tree_incremental` with an empty cache.
+    Paths may be in any of the accepted loose forms; file/directory
+    conflicts raise :class:`VCSError`.  This nest-then-hash build stays
+    independent of :func:`build_tree_from_sorted_index` (the commit path)
+    because tests and benchmark identity checks use it as that builder's
+    reference.
     """
     canonical = {normalize_path(path): value for path, value in files.items()}
-    root_oid, _, _ = build_tree_incremental(store, canonical, {}, set())
-    return root_oid
-
-
-#: Sentinel marking a nested-dict child as "reuse the cached subtree oid".
-_REUSED_SUBTREE = object()
-
-
-def build_tree_incremental(
-    store: ObjectStore,
-    files: Mapping[str, tuple[str, str]],
-    cached_subtrees: Mapping[str, str],
-    dirty_directories: set[str],
-) -> tuple[str, dict[str, str], dict[str, int]]:
-    """Build nested trees, reusing cached oids for unchanged subtrees.
-
-    ``cached_subtrees`` maps directory path → tree oid as of an earlier
-    build of the *same store*; ``dirty_directories`` must contain every
-    directory with a changed, added or removed file anywhere beneath it.  A
-    directory that is cached and not dirty is emitted by oid without being
-    re-serialised, re-hashed or re-stored — files beneath it are not even
-    visited while nesting.
-
-    Unlike :func:`build_tree`, paths are assumed canonical (the staging
-    index guarantees it); file/directory conflicts still raise
-    :class:`VCSError`.
-
-    Returns ``(root oid, new directory → oid map, {"built": n, "reused": m})``.
-    """
     nested: dict = {}
-    stats = {"built": 0, "reused": 0}
-    for path, value in files.items():
+    for path, value in canonical.items():
         if value[1] == MODE_DIRECTORY:
             raise VCSError(f"build_tree expects file entries only, got directory {path!r}")
         if path == ROOT:
             raise VCSError("cannot store a file at the repository root path '/'")
         parts = path[1:].split("/")
         cursor = nested
-        dir_path = ""
-        pruned = False
         for component in parts[:-1]:
-            dir_path = f"{dir_path}/{component}"
-            if dir_path not in dirty_directories and dir_path in cached_subtrees:
-                # The whole subtree is unchanged: mark it once and stop
-                # descending into this file's path.
-                cursor[component] = _REUSED_SUBTREE
-                pruned = True
-                break
-            existing = cursor.get(component)
-            if existing is _REUSED_SUBTREE or existing is None:
-                existing = cursor[component] = {}
-            elif not isinstance(existing, dict):
+            existing = cursor.setdefault(component, {})
+            if not isinstance(existing, dict):
                 raise VCSError(
                     f"path conflict: {component!r} is both a file and a directory under {path!r}"
                 )
             cursor = existing
-        if not pruned:
-            if parts[-1] in cursor:
-                raise VCSError(f"path conflict: {path!r} is both a file and a directory")
-            cursor[parts[-1]] = value
+        if parts[-1] in cursor:
+            raise VCSError(f"path conflict: {path!r} is both a file and a directory")
+        cursor[parts[-1]] = value
 
-    new_cache = {
-        path: oid for path, oid in cached_subtrees.items() if path not in dirty_directories
-    }
-
-    def _build(node: dict, dir_path: str) -> str:
+    def _build(node: dict) -> str:
         entries: list[TreeEntry] = []
         for name, value in node.items():
-            child_path = dir_path + name if dir_path == ROOT else f"{dir_path}/{name}"
-            if value is _REUSED_SUBTREE:
-                stats["reused"] += 1
-                entries.append(
-                    TreeEntry(name=name, oid=cached_subtrees[child_path], mode=MODE_DIRECTORY)
-                )
-            elif isinstance(value, dict):
-                child_oid = _build(value, child_path)
-                entries.append(TreeEntry(name=name, oid=child_oid, mode=MODE_DIRECTORY))
+            if isinstance(value, dict):
+                entries.append(TreeEntry(name=name, oid=_build(value), mode=MODE_DIRECTORY))
             else:
                 blob_oid, mode = value
                 entries.append(TreeEntry(name=name, oid=blob_oid, mode=mode))
-        tree = Tree(entries=tuple(entries))
-        oid = store.put(tree)
-        new_cache[dir_path] = oid
-        stats["built"] += 1
-        return oid
+        return store.put(Tree(entries=tuple(entries)))
 
-    root_oid = _build(nested, ROOT)
-    return root_oid, new_cache, stats
+    return _build(nested)
 
 
 def build_tree_from_sorted_index(
@@ -183,18 +126,19 @@ def build_tree_from_sorted_index(
 ) -> tuple[str, dict[str, str], dict[str, int]]:
     """Build nested trees from a *sorted* path list, touching only dirty work.
 
-    The O(n) half of :func:`build_tree_incremental` is its pass over every
-    file entry to nest them, even when almost every subtree is pruned.  Here
-    a directory's direct children are enumerated by bisect jumps over the
-    sorted path list (each child costs one bisect to skip its subtree), and
-    only dirty directories are descended into — clean ones are emitted from
-    ``cached_subtrees`` without their ranges ever being visited.  For a
-    commit that touched one file this is O(changed · depth · branching ·
-    log n) instead of O(n).
+    Rather than nesting every file entry (an O(n) pass even when almost
+    every subtree is unchanged), a directory's direct children are
+    enumerated by bisect jumps over the sorted path list (each child costs
+    one bisect to skip its subtree), and only dirty directories are
+    descended into — clean ones are emitted from ``cached_subtrees``
+    without their ranges ever being visited.  For a commit that touched
+    one file this is O(changed · depth · branching · log n) instead of
+    O(n).
 
     ``sorted_paths`` must be the sorted keys of ``entries`` (the staging
     index maintains exactly that), all canonical, satisfying the worktree
-    invariant.  Return value and stats match :func:`build_tree_incremental`.
+    invariant.  Returns ``(root oid, new directory → oid map, {"built": n,
+    "reused": m})``.
     """
     new_cache = {
         path: oid for path, oid in cached_subtrees.items() if path not in dirty_directories

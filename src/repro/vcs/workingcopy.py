@@ -18,12 +18,11 @@ state:
   imported on load and exported on checkout, so users see and edit normal
   files while the citation machinery keeps its history next to them.
 
-This used to live in ``repro.cli.storage``, but it is not CLI logic: the
-hub's durability recovery replays journals through it and
-``Repository.load`` bootstraps from it, and neither may import *upward*
-into the entry-point layer (the ``layering`` analysis rule now pins
-that).  ``repro.cli.storage`` remains as a thin shim re-exporting this
-module plus the ``gitcite storage`` subcommands.
+This is not CLI logic: the hub's durability recovery replays journals
+through it and ``Repository.load`` bootstraps from it, and neither may
+import *upward* into the entry-point layer (the ``layering`` analysis rule
+pins that).  The ``gitcite storage`` subcommands live in
+:mod:`repro.cli.storage`.
 
 Errors surface as :class:`~repro.errors.CLIError` — the operator-facing
 "the working copy on disk is unusable" error — which lives in the

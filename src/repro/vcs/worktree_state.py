@@ -544,18 +544,3 @@ class WorktreeState(MutableMapping):
         # entries; those survivors must stay pinned against a donor-store gc.
         if self._lazy and self._lease is None:
             self._acquire_lease()
-
-    def load_committed(self, entries: Iterable[tuple[str, bytes, str]]) -> None:
-        """Replace the content with ``(path, data, blob oid)`` triples whose
-        blobs are known stored — one pass, every fingerprint primed.
-
-        The eager counterpart of :meth:`load_committed_lazy` (kept for
-        callers that hold the bytes already, and as the measured baseline in
-        the checkout benchmarks)."""
-        self.clear()
-        for path, data, oid in entries:
-            self._files[path] = data
-            self._fingerprints[path] = oid
-        self._stored = set(self._files)
-        self._sorted_paths = sorted(self._files)
-        self._rebuild_directory_index()

@@ -7,9 +7,8 @@
   hosted setting used by the Figure 2 browser-extension walkthrough.
 * :mod:`generator` — seeded synthetic repositories, citation functions,
   branch pairs, operation traces and fleet fault schedules used by the
-  scalability, ablation and durability benchmarks (the paper itself reports
-  no numbers, so these define the workloads for the EXTRA-* experiments in
-  DESIGN.md).
+  scalability, ablation and durability benchmarks and tests (the paper
+  itself reports no numbers, so these define the workloads).
 """
 
 from repro.workloads.generator import (

@@ -1,7 +1,7 @@
 """Seeded synthetic workloads for the scalability and ablation benchmarks.
 
-The paper reports no quantitative evaluation, so the EXTRA-* experiments in
-DESIGN.md define the workloads a systems reader would expect: synthetic
+The paper reports no quantitative evaluation, so these generators define
+the workloads a systems reader would expect: synthetic
 project trees of controlled size and depth, citation functions of controlled
 density, branch pairs with controlled conflict rates, and operator traces.
 Everything is driven by :class:`random.Random` seeded from the workload

@@ -125,9 +125,10 @@ class TestRetroactiveCitation:
         assert report.function.resolve("/gui/window.py").citation.authors == ("Bob",)
 
     def test_file_granularity_is_finest(self, multi_author_repo):
+        root = build_retroactive_function(multi_author_repo, granularity="root")
         directory = build_retroactive_function(multi_author_repo, granularity="directory")
         file_level = build_retroactive_function(multi_author_repo, granularity="file")
-        assert file_level.entries_created >= directory.entries_created
+        assert root.entries_created <= directory.entries_created <= file_level.entries_created
         assert file_level.function.resolve("/core/engine.py").citation.authors == ("Alice", "Carol")
 
     def test_retrofit_commits_citation_file(self, multi_author_repo):

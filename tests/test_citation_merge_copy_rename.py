@@ -1,7 +1,12 @@
 """Unit tests for MergeCite, CopyCite and rename propagation (pure-model level)."""
 
-
-from repro.citation.conflict import AskUserStrategy, OursStrategy, TheirsStrategy
+from repro.citation.conflict import (
+    AskUserStrategy,
+    NewestStrategy,
+    OursStrategy,
+    TheirsStrategy,
+    ThreeWayStrategy,
+)
 from repro.citation.copy import copy_citations
 from repro.citation.function import CitationFunction
 from repro.citation.merge import merge_citation_functions
@@ -38,14 +43,34 @@ class TestMergeCitationFunctions:
         assert result.has_unresolved  # default ask strategy with no chooser
 
     def test_strategy_resolves_conflicts(self, sample_citation, other_citation):
+        # 300 conflicts: the newer citation alternates sides, and for a third
+        # of the keys the other side still holds the base value.
+        base = CitationFunction.with_root(sample_citation)
         ours = CitationFunction.with_root(sample_citation)
-        ours.put("/shared.py", sample_citation, False)
         theirs = CitationFunction.with_root(sample_citation)
-        theirs.put("/shared.py", other_citation, False)
-        result = merge_citation_functions(ours, theirs, strategy=TheirsStrategy())
-        assert not result.has_unresolved
-        assert result.function.get_explicit("/shared.py") == other_citation
-        assert result.auto_resolved_count == 1
+        for index in range(300):
+            path = f"/module{index % 20}/file{index}.py"
+            older = other_citation if index % 3 == 0 else other_citation.with_changes(title="other")
+            newer_on_ours = index % 2 == 0
+            ours_value, theirs_value = (sample_citation, older) if newer_on_ours else (older, sample_citation)
+            base.put(path, other_citation, False)
+            ours.put(path, ours_value, False)
+            theirs.put(path, theirs_value, False)
+        newest_wins = {path: sample_citation for path in ours.active_domain() if path != "/"}
+        theirs_wins = {path: theirs.get_explicit(path) for path in newest_wins}
+        for strategy, expected in (
+            (TheirsStrategy(), theirs_wins),
+            (NewestStrategy(), newest_wins),
+            (ThreeWayStrategy(fallback=NewestStrategy()), newest_wins),
+            (AskUserStrategy(), None),  # asking without a chooser resolves nothing by itself
+        ):
+            result = merge_citation_functions(ours, theirs, base=base, strategy=strategy)
+            assert len(result.conflicts) == 300
+            if expected is None:
+                assert result.auto_resolved_count == 0 and len(result.unresolved) == 300
+            else:
+                assert not result.has_unresolved and result.auto_resolved_count == 300
+                assert {path: result.function.get_explicit(path) for path in expected} == expected
 
     def test_deleted_files_drop_their_entries(self, sample_citation, other_citation):
         ours = CitationFunction.with_root(sample_citation)
@@ -83,6 +108,7 @@ class TestCopyCitations:
         destination = CitationFunction.with_root(sample_citation)
         result = copy_citations(source, "/green", destination, "/imported/green")
         assert result.migrated["/green/f2.py"] == "/imported/green/f2.py"
+        assert result.migrated_count == 2
         assert destination.resolve("/imported/green/f2.py").citation.title == "f2"
         assert not result.root_citation_added
 

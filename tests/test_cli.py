@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli.main import main
-from repro.cli.storage import is_working_copy, load_repository
+from repro.vcs.workingcopy import is_working_copy, load_repository
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Unit tests for the CLI's on-disk persistence layer (repro.cli.storage)."""
+"""Unit tests for the on-disk working-copy persistence layer (repro.vcs.workingcopy)."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CLIError
 from repro.citation.manager import CitationManager
-from repro.cli.storage import STATE_DIR, STATE_FILE, is_working_copy, load_repository, save_repository
+from repro.vcs.workingcopy import STATE_DIR, STATE_FILE, is_working_copy, load_repository, save_repository
 
 
 @pytest.fixture

@@ -31,12 +31,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
-from repro.cli.storage import (
-    load_repository,
-    reachable_from_refs,
-    save_repository,
-    switch_storage,
-)
 from repro.faults import SimulatedCrash
 from repro.utils.timeutil import FixedClock, set_clock
 from repro.vcs.fsck import fsck_working_copy
@@ -50,6 +44,12 @@ from repro.vcs.transfer import (
     update_refs_from_bundle,
 )
 from repro.vcs.treeops import flatten_tree
+from repro.vcs.workingcopy import (
+    load_repository,
+    reachable_from_refs,
+    save_repository,
+    switch_storage,
+)
 
 
 @pytest.fixture(autouse=True)

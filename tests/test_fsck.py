@@ -16,9 +16,9 @@ import pytest
 from repro import faults
 from repro.citation.manager import CitationManager
 from repro.cli.main import main
-from repro.cli.storage import save_repository
 from repro.vcs.fsck import fsck_working_copy
 from repro.vcs.repository import Repository
+from repro.vcs.workingcopy import save_repository
 
 
 @pytest.fixture(autouse=True)

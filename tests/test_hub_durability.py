@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.cli.storage import load_repository, save_repository
 from repro.errors import RemoteError, TransportError
 from repro.faults import SimulatedCrash
 from repro.hub.api import ApiResponse, RestApi
@@ -38,6 +37,7 @@ from repro.hub.sync import HubRemote
 from repro.vcs.fsck import fsck_working_copy
 from repro.vcs.repository import Repository
 from repro.vcs.transfer import advertise_refs, create_bundle
+from repro.vcs.workingcopy import load_repository, save_repository
 
 
 @pytest.fixture(autouse=True)

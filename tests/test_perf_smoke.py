@@ -401,7 +401,7 @@ class TestLazyCheckout:
         assert adopter.commit("adopted")
 
     def test_lazy_entries_survive_pack_backend_and_export(self, tmp_path):
-        from repro.cli.storage import load_repository, save_repository
+        from repro.vcs.workingcopy import load_repository, save_repository
         from repro.vcs.remote import clone_repository
 
         repo = Repository.init("lazy", "alice")

@@ -2,8 +2,7 @@
 
 These tests assert the *claims* the paper makes about its running example
 (Figure 1), its demonstration scenario (Listing 1) and the browser-extension
-behaviour (Figure 2); the corresponding benchmark harnesses print the same
-checks as tables (see EXPERIMENTS.md).
+behaviour (Figure 2).
 """
 
 import json
@@ -81,7 +80,7 @@ class TestRunningExampleFigure1:
 class TestDemoScenarioListing1:
     def test_final_citation_file_has_exactly_the_listing1_keys(self, demo_scenario):
         payload = json.loads(demo_scenario.citation_file_text)
-        assert sorted(payload) == sorted(LISTING1_EXPECTED_KEYS)
+        assert sorted(payload) == sorted(LISTING1_EXPECTED_KEYS) == sorted(LISTING1_EXPECTED_ENTRIES)
 
     @pytest.mark.parametrize("key", LISTING1_EXPECTED_KEYS)
     def test_entry_values_match_listing1(self, demo_scenario, key):
@@ -91,15 +90,18 @@ class TestDemoScenarioListing1:
             assert actual[field] == expected, f"{key}: field {field}"
 
     def test_corecover_files_resolve_to_chen_li(self, demo_scenario):
-        resolved = demo_scenario.manager.cite("/CoreCover/corecover.py")
-        assert resolved.citation.owner == "Chen Li"
-        assert resolved.source_path == "/CoreCover"
+        for path in ("/CoreCover/corecover.py", "/CoreCover/lattice.py"):
+            resolved = demo_scenario.manager.cite(path)
+            assert resolved.citation.owner == "Chen Li"
+            assert resolved.citation.authors == ("Chen Li",)
+            assert resolved.source_path == "/CoreCover"
 
     def test_gui_files_credit_yanssie(self, demo_scenario):
         resolved = demo_scenario.manager.cite("/citation/GUI/main_window.py")
         assert resolved.citation.authors == ("Yanssie",)
-        # Non-GUI files under /citation still credit the project root.
-        assert demo_scenario.manager.cite("/citation/query_processor.py").citation.authors == ("Yinjun Wu",)
+        # Non-GUI files, under /citation or not, still credit the project root.
+        for path in ("/citation/query_processor.py", "/README.md"):
+            assert demo_scenario.manager.cite(path).citation.authors == ("Yinjun Wu",)
 
     def test_history_contains_copycite_and_mergecite(self, demo_scenario):
         messages = [info.summary for info in demo_scenario.citedb.log()]
@@ -124,10 +126,17 @@ class TestExtensionScenarioFigure2:
         popup = PopupSession(ExtensionClient(scenario.api))
         popup.sign_in(scenario.non_member_token)
         popup.open_repository(scenario.slug)
-        view = popup.select_node("/CoreCover/corecover.py")
-        assert not view.is_member
-        assert "Chen Li" in view.text_box  # generated citation, copy-paste ready
-        assert not view.add_enabled and not view.delete_enabled
+        client = ExtensionClient(scenario.api, token=scenario.non_member_token)
+        for path, credited in (
+            ("/CoreCover/corecover.py", "Chen Li"),
+            ("/CoreCover", "Chen Li"),
+            ("/schema/eagle_i.sql", "Yinjun Wu"),
+        ):
+            view = popup.select_node(path)
+            assert not view.is_member
+            assert credited in view.text_box  # generated citation, copy-paste ready
+            assert not view.add_enabled and not view.delete_enabled
+            assert client.generate_citation(scenario.slug, path).citation.owner == credited
 
     def test_member_sees_explicit_citation_for_cited_directory(self, scenario):
         popup = PopupSession(ExtensionClient(scenario.api))
@@ -149,6 +158,11 @@ class TestExtensionScenarioFigure2:
         assert popup.select_node("/schema/eagle_i.sql").delete_enabled
 
     def test_extension_changes_are_commits_on_the_hosted_repository(self, scenario):
+        member = ExtensionClient(scenario.api, token=scenario.member_token)
+        citation = scenario.demo.manager.default_root_citation(authors=["Extension Author"])
+        member.add_citation(scenario.slug, "/README.md", citation)
+        member.delete_citation(scenario.slug, "/README.md")
+        assert member.view_node(scenario.slug, "/README.md").explicit_citation is None
         hosted = scenario.platform.get_repository(scenario.slug)
         history = [info.summary for info in hosted.repo.log(limit=3)]
         assert any("via GitCite extension" in message for message in history)

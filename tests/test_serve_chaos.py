@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli.storage import load_repository, save_repository
 from repro.errors import RemoteError, TransportError
 from repro.hub.durability import PushJournal, journal_path, replay_journal
 from repro.hub.httpd import HttpTransport
@@ -32,6 +31,7 @@ from repro.hub.sync import HubRemote
 from repro.vcs.fsck import fsck_working_copy
 from repro.vcs.merge import is_ancestor_commit
 from repro.vcs.repository import Repository
+from repro.vcs.workingcopy import load_repository, save_repository
 from repro.workloads.generator import WorkloadConfig, generate_serve_chaos_schedule
 
 SLUG = "alice/proj"

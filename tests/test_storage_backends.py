@@ -24,7 +24,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.cli.main import main as cli_main
-from repro.cli.storage import load_repository, reachable_from_refs, save_repository
 from repro.utils.hashing import object_id
 from repro.vcs.object_store import ObjectStore
 from repro.vcs.objects import Blob, Commit, Signature, Tag, Tree, TreeEntry
@@ -37,6 +36,7 @@ from repro.vcs.storage import (
     make_backend,
 )
 from repro.vcs.storage.pack import DeltaWindow, apply_delta, encode_delta
+from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository
 
 BACKEND_KINDS = ("memory", "loose", "pack")
 

@@ -189,6 +189,8 @@ class TestTreeOps:
         assert set(files) == {"/a.txt", "/src/b.py", "/src/pkg/c.py"}
         rebuilt = build_tree(store, files)
         assert rebuilt == tree_oid
+        # Loose path forms ("a/b") build the same tree as canonical ones.
+        assert build_tree(store, {path.lstrip("/"): value for path, value in files.items()}) == tree_oid
 
     def test_flatten_tree_includes_directories(self, populated):
         store, tree_oid = populated
@@ -223,8 +225,17 @@ class TestTreeOps:
         with pytest.raises(VCSError):
             build_tree(store, {"/": (store.put(Blob(b"x")), "100644")})
         oid = store.put(Blob(b"x"))
+        conflicts = [
+            ["/a", "/a/b"],
+            ["/a/b", "/a"],
+            # Not adjacent once sorted ("." < "/"), so an adjacent-pair check misses it.
+            ["/a", "/a.txt", "/a/b"],
+        ]
+        for paths in conflicts:
+            with pytest.raises(VCSError):
+                build_tree(store, {path: (oid, "100644") for path in paths})
         with pytest.raises(VCSError):
-            build_tree(store, {"/a": (oid, "100644"), "/a/b": (oid, "100644")})
+            build_tree(store, {"/a": (build_tree(store, {}), MODE_DIRECTORY)})
 
     def test_empty_tree(self):
         store = ObjectStore()

@@ -7,10 +7,10 @@ import pytest
 from repro import faults
 from repro.citation.conflict import NewestStrategy
 from repro.citation.operators import AddCite, DelCite, GenCite, ModifyCite, apply_operations
-from repro.cli.storage import load_repository, save_repository
 from repro.errors import TransportError
 from repro.faults import SimulatedCrash
 from repro.vcs.fsck import fsck_working_copy
+from repro.vcs.workingcopy import load_repository, save_repository
 from repro.workloads.generator import (
     STORAGE_FAILPOINTS,
     FaultEvent,
@@ -63,6 +63,8 @@ class TestRepositoryWorkloads:
         workload = generate_repository(WorkloadConfig(seed=11, num_files=40, citation_density=0.25))
         assert len(workload.file_paths) == 40
         assert workload.repo.head_oid() is not None
+        # The snapshot also holds citation.cite.
+        assert set(workload.file_paths) < set(workload.repo.snapshot())
         assert workload.manager.validate().is_consistent
         assert len(workload.cited_paths) == len(workload.citation_function) - 1
 
@@ -90,6 +92,7 @@ class TestRepositoryWorkloads:
         assert sorted(c.path for c in outcome.citation_result.conflicts) == pair.conflicting_paths
         # Non-conflicting citations from both branches survive the union.
         merged = outcome.citation_result.function
+        assert merged.has_root
         for path in pair.ours_only_paths + pair.theirs_only_paths:
             assert path in merged
 
