@@ -64,7 +64,7 @@ from repro.vcs import object_store as object_store_module  # noqa: E402
 from repro.vcs.object_store import ObjectStore  # noqa: E402
 from repro.vcs.objects import MODE_FILE, Blob, Commit, Signature, deserialize_object  # noqa: E402
 from repro.vcs.merge import commit_ancestors  # noqa: E402
-from repro.vcs.remote import clone_repository, push, sync_objects  # noqa: E402
+from repro.vcs.remote import LocalRemote, clone_repository, push  # noqa: E402
 from repro.vcs.transfer import apply_bundle, common_tips, create_bundle  # noqa: E402
 from repro.vcs.treeops import flatten_tree  # noqa: E402
 from repro.vcs.repository import Repository  # noqa: E402
@@ -881,7 +881,7 @@ def bench_pull_after_divergence(num_files: int = 3000, new_commits: int = 5) -> 
     baseline_s = _timed(run_baseline)
 
     def run_optimized():
-        result = sync_objects(upstream, local_optimized, [upstream_tip])
+        result = LocalRemote(upstream).fetch(local_optimized, [upstream_tip])
         local_optimized.refs.set_branch("main", upstream_tip)
         local_optimized.checkout("main")
         holder["optimized_offered"] = result.objects_total

@@ -66,7 +66,7 @@ def cmd_bundle_create(args: argparse.Namespace) -> int:
         raise CLIError(f"cannot write bundle file: {exc}") from exc
     thin = f", thin against {len(plan.boundary)} prerequisite(s)" if haves else ""
     _print(
-        f"Wrote {args.file}: {plan.objects_offered} object(s), "
+        f"Wrote {args.file}: {writer.object_count} object(s), "
         f"{len(writer.branches)} branch(es), {len(writer.tags)} tag(s), "
         f"{len(data)} bytes{thin}"
     )

@@ -55,7 +55,7 @@ from repro.hub.models import AccessToken, HostedRepository, Permission, User
 from repro.hub.ratelimit import RateLimiter
 from repro.utils.paths import normalize_path
 from repro.utils.timeutil import now_utc
-from repro.vcs.remote import clone_repository, fork_repository, push
+from repro.vcs.remote import clone_repository, fork_repository
 from repro.vcs.repository import Repository
 from repro.vcs.transfer import (
     RefAdvertisement,
@@ -138,18 +138,11 @@ class HostingPlatform:
         """
         if self._journals.get(slug) is None:
             return
-        refs = RefAdvertisement(
-            branches={branch: commit_oid},
-            tags={},
-            default_branch=branch,
-            head_branch=None,
-            head_oid=None,
-        )
         bundle_data = create_bundle(
             repo.store,
             [commit_oid],
             haves=(old_tip,) if old_tip else (),
-            refs=refs,
+            refs=RefAdvertisement.of_branch(branch, commit_oid),
         )
         self._journal_append(slug, bundle_data, force=False)
 
@@ -278,7 +271,7 @@ class HostingPlatform:
         return user
 
     # ------------------------------------------------------------------
-    # Forks, clones and pushes
+    # Forks and clones
     # ------------------------------------------------------------------
 
     def fork(self, slug: str, token: str, new_name: Optional[str] = None) -> HostedRepository:
@@ -296,13 +289,6 @@ class HostingPlatform:
         """Return a full local clone (what the local executable tool works on)."""
         hosted = self.get_repository(slug, token=token)
         return clone_repository(hosted.repo)
-
-    def receive_push(self, slug: str, token: str, local_repo: Repository,
-                     branch: Optional[str] = None, force: bool = False) -> str:
-        """Accept a push from a local clone (requires write access)."""
-        hosted = self.get_repository(slug, token=token)
-        self._require_permission(hosted, token, Permission.WRITE)
-        return push(local_repo, hosted.repo, branch=branch, force=force)
 
     # ------------------------------------------------------------------
     # Git wire protocol (what the sync subsystem speaks over the REST API)

@@ -134,6 +134,10 @@ class BundleWriter:
         self._oids: list[str] = []
         self._seen: set[str] = set()
 
+    @property
+    def object_count(self) -> int:
+        return len(self._oids)
+
     def add(self, oids: Iterable[str]) -> "BundleWriter":
         for oid in oids:
             if oid not in self._seen:

@@ -8,10 +8,10 @@ of the sync subsystem:
 * :func:`advertise_refs` — the ref advertisement a repository publishes
   (branches, tags, HEAD), the "haves" a receiver offers and the "wants" a
   sender resolves against;
-* :func:`common_tips` — the multi-round negotiation used between in-process
-  repositories: walk back from the receiver's tips until commits the source
-  also knows are found, so a receiver that is *ahead* of the source still
-  produces useful haves instead of an empty set;
+* :func:`common_tips` — the multi-round negotiation every fetch uses: walk
+  back from the receiver's tips until commits the source is known to hold
+  are found, so a receiver that is *ahead* of the source still produces
+  useful haves instead of an empty set;
 * :func:`negotiate` — the frontier walk itself: starting from the wanted
   commits, descend the commit graph and stop at the common ancestors implied
   by the haves.  The objects of each new commit are collected through
@@ -33,6 +33,7 @@ the benchmarks count: ``plan.objects`` is exactly the transfer offer.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from repro.errors import RemoteError
@@ -58,6 +59,11 @@ class RefAdvertisement:
         if self.head_oid:
             tips.add(self.head_oid)
         return tips
+
+    @classmethod
+    def of_branch(cls, name: str, oid: str) -> "RefAdvertisement":
+        """Name only branch ``name`` at ``oid``: the ref record of a push."""
+        return cls(branches={name: oid}, tags={}, default_branch=name, head_branch=None, head_oid=None)
 
     def to_dict(self) -> dict:
         return {
@@ -114,17 +120,19 @@ def advertise_refs(repo) -> RefAdvertisement:
     )
 
 
-def common_tips(source_store: ObjectStore, receiver) -> list[str]:
-    """The closest receiver commits the source also has (multi-round haves).
+def common_tips(known: Container[str], receiver) -> list[str]:
+    """The closest receiver commits the sender is known to hold (multi-round haves).
 
-    Walks the receiver's commit graph backwards from its advertised tips and
-    stops each line of descent at the first commit present in
-    ``source_store``.  A receiver that is ahead of the source (local commits
-    the source never saw) therefore still advertises the shared base instead
-    of tips the source would have to discard — the cost is bounded by the
+    ``known`` is any container of commits the sender holds: an in-process
+    sender's object store, or the history of the tips a wire sender
+    advertised.  Walks the receiver's commit graph backwards from its
+    advertised tips and stops each line of descent at the first commit in
+    ``known``.  A receiver that is ahead of the sender (local commits the
+    sender never saw) therefore still offers the shared base instead of tips
+    the sender would have to discard — the cost is bounded by the
     receiver-only commits plus one membership probe per boundary commit.
     """
-    known: list[str] = []
+    haves: list[str] = []
     seen: set[str] = set()
     frontier = sorted(advertise_refs(receiver).tips())
     store = receiver.store
@@ -133,12 +141,12 @@ def common_tips(source_store: ObjectStore, receiver) -> list[str]:
         if oid in seen:
             continue
         seen.add(oid)
-        if oid in source_store:
-            known.append(oid)
+        if oid in known:
+            haves.append(oid)
             continue
         if oid in store and store.get_type(oid) == "commit":
             frontier.extend(store.commit_parents(oid))
-    return sorted(known)
+    return sorted(haves)
 
 
 def _shared_ancestors(store: ObjectStore, tips: list[str]) -> set[str]:
@@ -150,9 +158,7 @@ def _shared_ancestors(store: ObjectStore, tips: list[str]) -> set[str]:
         if oid in seen:
             continue
         seen.add(oid)
-        frontier.extend(
-            parent for parent in store.commit_parents(oid) if parent not in seen
-        )
+        frontier.extend(store.commit_parents(oid))
     return seen
 
 

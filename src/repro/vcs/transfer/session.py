@@ -66,6 +66,8 @@ def plan_bundle(
     receiver must already have.  ``refs`` (usually the sender's
     advertisement) records the branch/tag tips whose history the bundle
     carries, restricted to tips that are actually among the wanted commits.
+    Annotated tag objects hang off no commit-graph edge, so the negotiation
+    cannot reach them; they ride along with the tag records naming them.
     """
     plan = negotiate(store, wants, haves, closure_cache=closure_cache)
     branches: dict = {}
@@ -85,7 +87,24 @@ def plan_bundle(
         head_branch=head_branch,
     )
     writer.add(plan.objects)
+    if tags:
+        writer.add(_annotated_tags(store, tags, set(plan.objects)))
     return plan, writer
+
+
+def _annotated_tags(store: ObjectStore, tags: dict, planned: set) -> list[str]:
+    """The stored tag objects naming one of ``tags`` at its target (a store scan)."""
+    named = set(tags.items())
+    found = []
+    for oid in store.iter_oids():
+        # Planned objects are commits, trees and blobs: skip them by
+        # membership before paying a type probe.
+        if oid in planned or store.get_type(oid) != "tag":
+            continue
+        tag = store.get_tag(oid)
+        if (tag.name, tag.object_oid) in named:
+            found.append(oid)
+    return sorted(found)
 
 
 def create_bundle(

@@ -86,3 +86,31 @@ def demo_scenario():
     from repro.workloads.scenarios import build_demo_scenario
 
     return build_demo_scenario()
+
+
+@pytest.fixture
+def remote_for():
+    """The remote a transport-contract test talks to: in process by default.
+
+    A test class reruns its contract over REST by overriding this fixture
+    with :func:`rest_remote_for`.
+    """
+    from repro.vcs.remote import LocalRemote
+
+    return LocalRemote
+
+
+@pytest.fixture
+def rest_remote_for():
+    """Host a repository on a fresh platform; return a ``HubRemote`` to it over REST."""
+    from repro.hub.api import RestApi
+    from repro.hub.server import HostingPlatform
+    from repro.hub.sync import HubRemote
+
+    def host(repo: Repository) -> HubRemote:
+        platform = HostingPlatform()
+        platform.host_repository(repo)
+        token = platform.issue_token(repo.owner).value
+        return HubRemote(RestApi(platform), repo.full_name, token=token)
+
+    return host

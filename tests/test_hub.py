@@ -14,9 +14,11 @@ from repro.errors import (
 )
 from repro.citation.citefile import CITATION_FILE_PATH
 from repro.hub.api import RestApi
+from repro.hub.durability import PushJournal, replay_journal
 from repro.hub.models import Permission
 from repro.hub.ratelimit import RateLimiter
 from repro.hub.server import HostingPlatform
+from repro.hub.sync import HubRemote
 from repro.vcs.repository import Repository
 
 
@@ -28,6 +30,23 @@ def platform(enabled_manager) -> HostingPlatform:
     platform.register_user("bob", name="Bob Jones")
     platform.host_repository(enabled_manager.repo)
     return platform
+
+
+class _CountingApi(RestApi):
+    """A :class:`RestApi` that counts requests by verb and final path segments."""
+
+    def __init__(self, platform) -> None:
+        super().__init__(platform)
+        self.counts: dict = {}
+
+    def request(self, method, url, token=None, payload=None):
+        key = (method, "/".join(url.split("/")[-2:]))
+        self.counts[key] = self.counts.get(key, 0) + 1
+        return super().request(method, url, token=token, payload=payload)
+
+    def take(self) -> dict:
+        counts, self.counts = self.counts, {}
+        return counts
 
 
 @pytest.fixture
@@ -139,19 +158,33 @@ class TestRepositoryOperations:
         assert hosted.forked_from == "alice/demo"
         assert hosted.repo.head_oid() == platform.get_repository("alice/demo").repo.head_oid()
 
-    def test_clone_and_push_round_trip(self, platform, alice_token):
+    def test_clone_and_push_round_trip(self, platform, alice_token, tmp_path):
+        journal = PushJournal(tmp_path / "pushes.waj")
+        platform.attach_journal("alice/demo", journal)
+        api = _CountingApi(platform)
+        remote = HubRemote(api, "alice/demo", token=alice_token)
         local = platform.clone("alice/demo")
         local.write_file("/pushed.txt", "pushed\n")
         tip = local.commit("local work")
-        assert platform.receive_push("alice/demo", alice_token, local) == tip
+        assert remote.push(local)["updated"] == {"main": tip}
+        assert api.take() == {("GET", "git/refs"): 1, ("POST", "git/receive-pack"): 1}
         assert platform.get_repository("alice/demo").repo.file_exists("/pushed.txt")
+        journal.close()
+        assert len(replay_journal(journal.path).records) == 1
+
+        # Each fetch reads the ref advertisement once and reuses it.
+        other = Repository.init("other", "alice")
+        assert remote.fetch_branch(other, "main") == tip
+        assert api.take() == {("GET", "git/refs"): 1, ("POST", "git/upload-pack"): 1}
+        assert remote.pull(other, "main") == tip
+        assert api.take() == {("GET", "git/refs"): 1, ("POST", "git/upload-pack"): 1}
 
     def test_push_requires_write(self, platform, bob_token):
         local = platform.clone("alice/demo")
         local.write_file("/x.txt", "x")
         local.commit("work")
         with pytest.raises(PermissionDeniedError):
-            platform.receive_push("alice/demo", bob_token, local)
+            HubRemote(RestApi(platform), "alice/demo", token=bob_token).push(local)
 
     def test_commits_listing(self, platform):
         commits = platform.commits("alice/demo", limit=1)

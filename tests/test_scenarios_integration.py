@@ -180,7 +180,9 @@ class TestEndToEndCollaboration:
     def test_clone_edit_push_then_remote_citations_visible(self, demo_scenario):
         """The local-tool workflow: clone from the platform, work, push back."""
         from repro.citation.manager import CitationManager
+        from repro.hub.api import RestApi
         from repro.hub.server import HostingPlatform
+        from repro.hub.sync import HubRemote
 
         platform = HostingPlatform()
         platform.register_user("maintainer")
@@ -195,7 +197,7 @@ class TestEndToEndCollaboration:
         local.write_file("/analysis/report.py", "# analysis\n")
         manager.add_cite("/analysis/report.py", citation)
         manager.commit("Add analysis with its citation")
-        platform.receive_push("maintainer/Data_citation_demo", token, local)
+        HubRemote(RestApi(platform), "maintainer/Data_citation_demo", token).push(local)
 
         remote_manager = CitationManager(platform.get_repository("maintainer/Data_citation_demo").repo)
         resolved = remote_manager.cite("/analysis/report.py", ref="HEAD")

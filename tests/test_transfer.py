@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.errors import BundleError, RemoteError
 from repro.vcs.objects import Blob
 from repro.vcs.remote import (
+    LocalRemote,
     clone_repository,
     fetch_branch,
     pull,
     push,
     reachable_objects,
-    sync_objects,
 )
 from repro.vcs.repository import Repository
 from repro.vcs.storage import make_backend
@@ -417,17 +417,19 @@ class TestApplyBundle:
 
 
 class TestCloneIsGcClean:
-    def test_clone_leaves_dangling_objects_behind(self):
+    """Clone contract in process; ``TestCloneIsGcCleanOverRest`` reruns it over REST."""
+
+    def test_clone_leaves_dangling_objects_behind(self, remote_for):
         origin = make_repo()
         # Pre-gc garbage: a blob no commit references.
         dangling = origin.store.put(Blob(b"orphaned bytes the gc would drop\n"))
-        clone = clone_repository(origin)
+        clone = remote_for(origin).clone()
         assert dangling in origin.store
         assert dangling not in clone.store
         assert store_oids(clone) >= reachable_objects(origin.store, origin.head_oid())
         assert clone.snapshot() == origin.snapshot()
 
-    def test_clone_carries_annotated_tags(self):
+    def test_clone_carries_annotated_tags(self, remote_for):
         origin = make_repo()
         origin.tag("v1.0", message="first release")
         tag_objects = [
@@ -435,36 +437,50 @@ class TestCloneIsGcClean:
             if origin.store.get_type(oid) == "tag"
         ]
         assert tag_objects
-        clone = clone_repository(origin)
+        clone = remote_for(origin).clone()
         for oid in tag_objects:
             assert oid in clone.store
         assert clone.refs.tags == origin.refs.tags
 
-    def test_clone_of_empty_repository(self):
+    def test_clone_of_empty_repository(self, remote_for):
         origin = Repository.init("empty", "alice")
-        clone = clone_repository(origin)
+        clone = remote_for(origin).clone()
         assert clone.head_oid() is None
         assert len(clone.store) == 0
 
 
+class TestCloneIsGcCleanOverRest(TestCloneIsGcClean):
+    @pytest.fixture
+    def remote_for(self, rest_remote_for):
+        return rest_remote_for
+
+
 class TestPullUnbornHead:
-    def test_pull_into_unborn_head_on_other_branch_keeps_head(self):
+    """Pull contract in process; ``TestPullUnbornHeadOverRest`` reruns it over REST."""
+
+    def test_pull_into_unborn_head_on_other_branch_keeps_head(self, remote_for):
         origin = make_repo()
         local = Repository.init("local", "bob", default_branch="scratch")
         assert local.current_branch == "scratch" and local.head_oid() is None
-        tip = pull(local, origin, branch="main")
+        tip = remote_for(origin).pull(local, branch="main")
         # The branch arrives, but HEAD must stay on the user's unborn branch.
         assert local.refs.branch_target("main") == tip
         assert local.current_branch == "scratch"
         assert local.head_oid() is None
 
-    def test_pull_into_unborn_head_on_same_branch_attaches(self):
+    def test_pull_into_unborn_head_on_same_branch_attaches(self, remote_for):
         origin = make_repo()
         local = Repository.init("local", "bob")  # unborn HEAD on main
-        tip = pull(local, origin, branch="main")
+        tip = remote_for(origin).pull(local, branch="main")
         assert local.current_branch == "main"
         assert local.head_oid() == tip
         assert local.snapshot() == origin.snapshot()
+
+
+class TestPullUnbornHeadOverRest(TestPullUnbornHead):
+    @pytest.fixture
+    def remote_for(self, rest_remote_for):
+        return rest_remote_for
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +577,7 @@ def _assert_exact_sync(source, destination, wants):
     for want in wants:
         expected_missing |= reachable_objects(source.store, want)
     expected_missing -= store_oids(destination)
-    result = sync_objects(source, destination, wants)
+    result = LocalRemote(source).fetch(destination, wants)
     assert result.added_oids == frozenset(expected_missing)
     assert result.objects_added == len(expected_missing)
     for want in wants:
@@ -605,8 +621,8 @@ class TestExactTransferProperty:
                     downstream, upstream, [downstream.refs.branch_target("feature")]
                 )
                 # Repeating either sync immediately transfers nothing.
-                repeat = sync_objects(
-                    upstream, downstream, [upstream.refs.branch_target("main")]
+                repeat = LocalRemote(upstream).fetch(
+                    downstream, [upstream.refs.branch_target("main")]
                 )
                 assert repeat.objects_added == 0
 

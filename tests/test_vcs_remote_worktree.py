@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import RemoteError, VCSError
+from repro.errors import RemoteError, ValidationError, VCSError
 from repro.vcs.ignore import IgnoreRules
-from repro.vcs.remote import clone_repository, fetch_branch, fork_repository, pull, push, reachable_objects
+from repro.vcs.remote import clone_repository, fork_repository, reachable_objects
 from repro.vcs.repository import Repository
 from repro.vcs.worktree import export_snapshot, export_worktree, import_worktree
 
@@ -49,53 +49,76 @@ class TestCloneAndFork:
 
 
 class TestPushPull:
-    def test_push_fast_forward(self, origin):
-        local = clone_repository(origin)
+    """The push/pull contract in process; ``TestPushPullOverRest`` reruns it over REST."""
+
+    #: What a rejected non-fast-forward push raises on this transport.
+    rejected = RemoteError
+
+    def test_push_fast_forward(self, origin, remote_for):
+        remote = remote_for(origin)
+        local = remote.clone()
         local.write_file("feature.py", "x = 1\n")
         tip = local.commit("feature")
-        assert push(local, origin) == tip
+        assert remote.push(local)["updated"] == {"main": tip}
         assert origin.head_oid() == tip
         assert origin.file_exists("feature.py")
 
-    def test_push_rejects_non_fast_forward(self, origin):
-        local = clone_repository(origin)
+    def test_push_rejects_non_fast_forward(self, origin, remote_for):
+        remote = remote_for(origin)
+        local = remote.clone()
         local.write_file("a.txt", "a")
         local.commit("local work")
         origin.write_file("b.txt", "b")
-        origin.commit("remote work")
-        with pytest.raises(RemoteError):
-            push(local, origin)
-        push(local, origin, force=True)
+        remote_tip = origin.commit("remote work")
+        with pytest.raises(self.rejected):
+            remote.push(local)
+        assert origin.head_oid() == remote_tip
+        remote.push(local, force=True)
         assert origin.head_oid() == local.head_oid()
 
-    def test_push_unknown_branch(self, origin):
-        local = clone_repository(origin)
+    def test_push_unknown_branch(self, origin, remote_for):
+        remote = remote_for(origin)
+        local = remote.clone()
         with pytest.raises(RemoteError):
-            push(local, origin, branch="does-not-exist")
+            remote.push(local, branch="does-not-exist")
 
-    def test_pull_fast_forwards_local(self, origin):
-        local = clone_repository(origin)
+    def test_pull_fast_forwards_local(self, origin, remote_for):
+        remote = remote_for(origin)
+        local = remote.clone()
         origin.write_file("upstream.txt", "u")
         tip = origin.commit("upstream change")
-        assert pull(local, origin) == tip
+        assert remote.pull(local) == tip
         assert local.head_oid() == tip and local.file_exists("upstream.txt")
 
-    def test_pull_diverged_refuses(self, origin):
-        local = clone_repository(origin)
+    def test_pull_diverged_refuses(self, origin, remote_for):
+        remote = remote_for(origin)
+        local = remote.clone()
         local.write_file("l.txt", "l")
         local.commit("local")
         origin.write_file("r.txt", "r")
         origin.commit("remote")
         with pytest.raises(RemoteError):
-            pull(local, origin)
+            remote.pull(local)
 
-    def test_fetch_branch_copies_objects_only(self, origin):
+    def test_fetch_branch_copies_objects_only(self, origin, remote_for):
+        remote = remote_for(origin)
         other = Repository.init("scratch", "carol")
-        tip = fetch_branch(origin, other, "main")
+        tip = remote.fetch_branch(other, "main")
         assert tip in other.store
         assert not other.refs.has_branch("main")
         with pytest.raises(RemoteError):
-            fetch_branch(origin, other, "missing")
+            remote.fetch_branch(other, "missing")
+
+
+class TestPushPullOverRest(TestPushPull):
+    """The same contract against a hosted repository over the REST wire."""
+
+    #: The hub maps a non-fast-forward rejection to HTTP 422.
+    rejected = ValidationError
+
+    @pytest.fixture
+    def remote_for(self, rest_remote_for):
+        return rest_remote_for
 
 
 class TestIgnoreRules:
