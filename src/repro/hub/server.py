@@ -15,11 +15,11 @@ The platform serves concurrent requests (it sits behind
 * account and repository *registration* (register_user, host_repository,
   fork) runs under the platform lock so two requests cannot claim the same
   login or slug;
-* operations that mutate a hosted repository's *worktree* (put_file,
-  delete_file, and receive_pack's ref-update + checkout phase) serialise on
-  a per-slug lock — the checkout-target/commit/checkout-back dance is not
-  re-entrant, and concurrent content commits to one repository must land in
-  some serial order;
+* ref moves (put_file, delete_file, receive_pack's ref update) and their
+  journal appends serialise on a per-slug lock, so journal order is ref
+  order.  A contents commit is built from the branch tip's tree, never by
+  a checkout; only an edit of the checked-out branch touches the worktree,
+  and only at the edited path;
 * the expensive part of a push — bundle verification and object install in
   :func:`~repro.vcs.transfer.session.apply_bundle` — deliberately runs
   *outside* any platform lock (the object store tolerates concurrent
@@ -38,7 +38,9 @@ from repro.errors import (
     AuthenticationError,
     BundleChecksumError,
     BundleError,
+    CheckoutError,
     InvalidObjectError,
+    InvalidPathError,
     NotFoundError,
     ObjectNotFoundError,
     PermissionDeniedError,
@@ -53,7 +55,6 @@ from repro.errors import (
 from repro.hub.auth import TokenAuthority
 from repro.hub.models import AccessToken, HostedRepository, Permission, User
 from repro.hub.ratelimit import RateLimiter
-from repro.utils.paths import normalize_path
 from repro.utils.timeutil import now_utc
 from repro.vcs.remote import clone_repository, fork_repository
 from repro.vcs.repository import Repository
@@ -80,7 +81,7 @@ class HostingPlatform:
         self.rate_limiter = rate_limiter or RateLimiter()
         #: Guards the account/repository registries (see module docstring).
         self._lock = threading.RLock()
-        #: One lock per hosted slug, serialising worktree-mutating requests.
+        #: One lock per hosted slug, ordering ref moves against journal appends.
         self._repo_locks: dict[str, threading.RLock] = {}
         #: Per-slug write-ahead journals (``repro.hub.durability.PushJournal``).
         #: When a slug has one attached, every acknowledged mutation is
@@ -125,9 +126,7 @@ class HostingPlatform:
                 retry_after=5.0,
             ) from exc
 
-    def _journal_contents_commit(
-        self, repo: Repository, slug: str, branch: str, old_tip: Optional[str], commit_oid: str
-    ) -> None:
+    def _journal_contents_commit(self, repo: Repository, slug: str, branch: str, commit_oid: str) -> None:
         """Journal a contents-API commit as a single-commit push bundle.
 
         The journal speaks one record shape — a push bundle — so a commit
@@ -141,7 +140,7 @@ class HostingPlatform:
         bundle_data = create_bundle(
             repo.store,
             [commit_oid],
-            haves=(old_tip,) if old_tip else (),
+            haves=repo.store.commit_parents(commit_oid),
             refs=RefAdvertisement.of_branch(branch, commit_oid),
         )
         self._journal_append(slug, bundle_data, force=False)
@@ -338,10 +337,10 @@ class HostingPlatform:
         repo = hosted.repo
         try:
             # Verification + object install runs unlocked (see the module
-            # docstring); only the ref-move + checkout phase — which must not
-            # interleave with a put_file/delete_file commit dance — takes the
-            # per-slug lock.  Ref-vs-ref races are additionally resolved by
-            # the CAS transaction inside update_refs_from_bundle itself.
+            # docstring); only the ref move and its journal append take the
+            # per-slug lock, so a contents commit cannot land between them.
+            # Ref-vs-ref races are additionally resolved by the CAS
+            # transaction inside update_refs_from_bundle itself.
             result = apply_bundle(repo.store, bundle_data)
             with self._repo_lock(slug):
                 updated = update_refs_from_bundle(repo, result.bundle, force=force)
@@ -430,31 +429,7 @@ class HostingPlatform:
         This is the endpoint the browser extension uses to "directly modify
         the citation file on the remote repository".
         """
-        hosted = self.get_repository(slug, token=token)
-        user = self._require_permission(hosted, token, Permission.WRITE)
-        repo = hosted.repo
-        # Per-slug lock: the checkout/commit/checkout-back dance below must
-        # not interleave with another content commit or a push's ref phase.
-        with self._repo_lock(slug):
-            target_branch = branch or hosted.default_branch
-            original_branch = repo.current_branch
-            if not repo.refs.has_branch(target_branch):
-                raise NotFoundError(f"{slug} has no branch {target_branch!r}")
-            old_tip = repo.refs.branch_target(target_branch)
-            if original_branch != target_branch:
-                repo.checkout(target_branch)
-            try:
-                repo.write_file(path, content)
-                commit_oid = repo.commit(
-                    message,
-                    author_name=author_name or user.name,
-                    timestamp=timestamp,
-                )
-            finally:
-                if original_branch is not None and original_branch != target_branch:
-                    repo.checkout(original_branch)
-            self._journal_contents_commit(repo, slug, target_branch, old_tip, commit_oid)
-            return commit_oid
+        return self._commit_contents(slug, token, branch, path, content, message, author_name, timestamp)
 
     def delete_file(
         self,
@@ -467,31 +442,37 @@ class HostingPlatform:
         timestamp: Optional[datetime] = None,
     ) -> str:
         """Delete a file on a branch and commit (write access required)."""
+        return self._commit_contents(slug, token, branch, path, None, message, author_name, timestamp)
+
+    def _commit_contents(self, slug: str, token: str, branch: Optional[str], path: str,
+                         content: bytes | str | None, message: str,
+                         author_name: Optional[str], timestamp: Optional[datetime]) -> str:
+        """Commit one edit (``content=None`` deletes) onto a branch's tree.
+
+        Deleting a path that is not a file is a 404; any other refusal
+        (unchanged content, a path that is a directory or lies beneath a
+        file, local changes in the checked-out worktree) is a 422.  Storage
+        corruption propagates, as in :meth:`get_file`.
+        """
         hosted = self.get_repository(slug, token=token)
         user = self._require_permission(hosted, token, Permission.WRITE)
         repo = hosted.repo
+        target_branch = branch or hosted.default_branch
         with self._repo_lock(slug):
-            target_branch = branch or hosted.default_branch
-            original_branch = repo.current_branch
             if not repo.refs.has_branch(target_branch):
                 raise NotFoundError(f"{slug} has no branch {target_branch!r}")
-            old_tip = repo.refs.branch_target(target_branch)
-            if original_branch != target_branch:
-                repo.checkout(target_branch)
             try:
-                canonical = normalize_path(path)
-                if not repo.file_exists(canonical):
-                    raise NotFoundError(f"{slug}@{target_branch} has no file {path!r}")
-                repo.remove_file(canonical)
-                commit_oid = repo.commit(
-                    message,
-                    author_name=author_name or user.name,
-                    timestamp=timestamp,
+                commit_oid = repo.commit_edit(
+                    target_branch, path, content, message,
+                    author_name=author_name or user.name, timestamp=timestamp,
                 )
-            finally:
-                if original_branch is not None and original_branch != target_branch:
-                    repo.checkout(original_branch)
-            self._journal_contents_commit(repo, slug, target_branch, old_tip, commit_oid)
+            except (StorageError, ObjectNotFoundError, InvalidObjectError):
+                raise
+            except (VCSError, InvalidPathError) as exc:
+                if content is None and not isinstance(exc, CheckoutError):
+                    raise NotFoundError(f"{slug}@{target_branch} has no file {path!r}") from exc
+                raise ValidationError(f"cannot write {path!r} on {slug}@{target_branch}: {exc}") from exc
+            self._journal_contents_commit(repo, slug, target_branch, commit_oid)
             return commit_oid
 
     # ------------------------------------------------------------------

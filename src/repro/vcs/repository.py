@@ -128,8 +128,9 @@ class Repository:
         # (checkout / fast-forward merge), so holders of deferred
         # worktree-derived state can discard it instead of flushing it over
         # a different version.  The generation counter lets holders of
-        # *clean* caches detect replacement lazily without registering
-        # anything (no reference pinning).
+        # *clean* caches detect replacement (or a commit_edit of the
+        # checked-out branch) lazily without registering anything (no
+        # reference pinning).
         self._worktree_reload_hooks: list = []
         self._worktree_generation = 0
         self.default_author = Signature(
@@ -546,14 +547,7 @@ class Repository:
             parent_tree = self.store.get_commit(parent).tree_oid
             if parent_tree == tree_oid:
                 raise VCSError("nothing to commit (working tree matches HEAD); use allow_empty=True")
-        commit = Commit(
-            tree_oid=tree_oid,
-            parent_oids=parents,
-            author=author,
-            committer=author,
-            message=message,
-        )
-        oid = self.store.put(commit)
+        oid = self._write_commit(message, tree_oid, parents, author)
         if not self.refs.branches and not self.refs.is_detached:
             # First commit: create the default branch at this commit.
             self.refs.set_branch(self.refs.head_branch or self.refs.default_branch, oid)
@@ -561,13 +555,73 @@ class Repository:
             self.refs.advance_head(oid)
         return oid
 
-    def _merge_commit(
-        self,
-        message: str,
-        tree_oid: str,
-        parents: tuple[str, ...],
-        author: Signature,
-    ) -> str:
+    def commit_edit(self, branch: str, path: str, data: bytes | str | None, message: str,
+                    author_name: str | None = None, timestamp: datetime | None = None) -> str:
+        """Commit one file edit (``data=None`` deletes) onto ``branch``; returns its id.
+
+        The tip's tree is edited in a :class:`StagingIndex`, whose subtree
+        cache re-hashes only the edited path's ancestors: a scratch index for
+        a branch that is not checked out (its worktree is left alone), the
+        repository's own index for the checked-out branch, whose worktree
+        then takes the edit at ``path`` alone, as after ``git commit --only``.
+        Staged changes, or local changes at ``path``, raise
+        :class:`CheckoutError` rather than be lost or swept into the commit.
+        No pre-commit hooks run: the worktree is not snapshotted.  The branch
+        moves by compare-and-swap against the tip the edit was built on.  An
+        unchanged tree raises :class:`VCSError`, as in :meth:`commit`.
+        """
+        canonical = normalize_path(path)
+        parent = self.refs.branch_target(branch)
+        parent_tree = self.store.commit_tree(parent)
+        checked_out = self.current_branch == branch
+        index = self.index if checked_out else StagingIndex()
+        if not checked_out or index.write_tree(self.store) != parent_tree:
+            # A fresh scratch index, or ours cleared by a working-copy load:
+            # realign it with the tip unless it stages something the tip lacks.
+            drifted = index.entries()
+            index.read_tree(self.store, parent_tree)
+            if not drifted.items() <= index.entries().items():
+                index.replace(drifted, assume_canonical=True)
+                raise CheckoutError(f"{branch!r} has staged changes; commit them first")
+        tip_entry = index.get(canonical)
+        worktree = self._worktree
+        if checked_out:
+            local = worktree.fingerprint(canonical) if canonical in worktree else None
+            if local != (tip_entry[0] if tip_entry else None):
+                raise CheckoutError(f"{canonical!r} has uncommitted changes on {branch!r}")
+            if data is not None:
+                worktree.check_can_create(canonical, error=CheckoutError)
+        if data is None:
+            index.unstage(canonical)
+        else:
+            payload = data.encode("utf-8") if isinstance(data, str) else bytes(data)
+            blob_oid = self.store.put(Blob(payload))
+            index.stage(canonical, blob_oid)
+        tree_oid = index.write_tree(self.store)
+        if tree_oid == parent_tree:
+            raise VCSError(f"nothing to commit ({canonical!r} is unchanged on {branch!r})")
+        author = self.make_signature(author_name, timestamp=timestamp)
+        oid = self._write_commit(message, tree_oid, (parent,), author)
+        with self.refs.lock:
+            if not self.refs.compare_and_swap_branch(branch, parent, oid):
+                if checked_out:
+                    index.discard(canonical)
+                    if tip_entry:
+                        index.stage(canonical, *tip_entry)
+                raise RefError(f"branch {branch!r} moved while the edit was being committed")
+            if checked_out:
+                if data is None:
+                    del worktree[canonical]
+                else:
+                    worktree[canonical] = payload
+                    worktree.mark_stored(canonical, blob_oid)
+                # Clean caches of the worktree re-read; deferred state is kept
+                # (a flush over a rewritten file yields to the rewrite).
+                self._worktree_generation += 1
+        return oid
+
+    def _write_commit(self, message: str, tree_oid: str, parents: tuple[str, ...], author: Signature) -> str:
+        """Store a commit object (moving no ref) and return its id."""
         commit = Commit(
             tree_oid=tree_oid,
             parent_oids=parents,
@@ -575,9 +629,7 @@ class Repository:
             committer=author,
             message=message,
         )
-        oid = self.store.put(commit)
-        self.refs.advance_head(oid)
-        return oid
+        return self.store.put(commit)
 
     # ------------------------------------------------------------------
     # References and history
@@ -662,7 +714,8 @@ class Repository:
 
     @property
     def worktree_generation(self) -> int:
-        """Bumped every time the working tree is replaced wholesale."""
+        """Bumped every time the working tree is replaced wholesale or edited by
+        :meth:`commit_edit`."""
         return self._worktree_generation
 
     def _notify_worktree_reload(self) -> None:
@@ -909,12 +962,10 @@ class Repository:
         self.add()
         tree_oid = self.index.write_tree(self.store)
         message = message or f"Merge {other_ref} into {self.current_branch or 'HEAD'}"
-        commit_oid = self._merge_commit(
-            message=message,
-            tree_oid=tree_oid,
-            parents=(prepared.ours_oid, prepared.theirs_oid),
-            author=author,
+        commit_oid = self._write_commit(
+            message, tree_oid, (prepared.ours_oid, prepared.theirs_oid), author
         )
+        self.refs.advance_head(commit_oid)
         return MergeOutcome(
             commit_oid=commit_oid,
             fast_forward=False,

@@ -1,6 +1,7 @@
 """Unit tests for the hosting-platform simulator (models, auth, rate limits, server, API)."""
 
 import base64
+from datetime import datetime, timezone
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.errors import (
     RateLimitExceededError,
     ValidationError,
 )
-from repro.citation.citefile import CITATION_FILE_PATH
+from repro.citation.citefile import CITATION_FILE_PATH, dump_citation_bytes
 from repro.hub.api import RestApi
 from repro.hub.durability import PushJournal, replay_journal
 from repro.hub.models import Permission
@@ -151,6 +152,131 @@ class TestRepositoryOperations:
         assert not platform.get_repository("alice/demo").repo.file_exists("/docs/guide.md")
         with pytest.raises(NotFoundError):
             platform.delete_file("alice/demo", "/docs/guide.md", message="again", token=alice_token)
+
+    @pytest.mark.parametrize(
+        "method, path, content, status",
+        [
+            ("PUT", "README.md", b"# demo\n", 422),
+            ("PUT", "src", b"x", 422),
+            ("PUT", "README.md/x", b"x", 422),
+            ("PUT", "src/../x", b"x", 422),
+            ("DELETE", "src", None, 404),
+        ],
+        ids=["unchanged-content", "path-is-directory", "path-beneath-file", "path-escapes-root",
+             "delete-directory"],
+    )
+    def test_rejected_contents_commit_is_a_client_error(
+        self, platform, alice_token, method, path, content, status
+    ):
+        """A contents commit that can never succeed is a non-retryable 4xx,
+        never a 500 that a retrying client would re-send."""
+        repo = platform.get_repository("alice/demo").repo
+        tip = repo.head_oid()
+        payload = {"message": "m"}
+        if content is not None:
+            payload["content"] = base64.b64encode(content).decode("ascii")
+        response = RestApi(platform).request(
+            method, f"/repos/alice/demo/contents/{path}", token=alice_token, payload=payload
+        )
+        assert (response.status, response.json["retryable"]) == (status, False)
+        assert repo.head_oid() == tip
+        assert repo.read_file_at("main", "/src/main.py") == b"print('hello')\n"
+
+    def test_contents_commit_oids_are_stable(self):
+        """Contents commits are byte-identical to the ones the checkout-based
+        implementation produced for the same inputs (oids recorded from it)."""
+        def at(minute):
+            return datetime(2020, 1, 1, 12, minute, tzinfo=timezone.utc)
+
+        platform = HostingPlatform()
+        platform.register_user("alice", name="Alice Smith")
+        repo = Repository.init("fixed", "alice")
+        repo.write_files({"/README.md": "# fixed\n", "/src/main.py": "print('hi')\n"})
+        repo.commit("initial", timestamp=at(0))
+        repo.create_branch("topic")
+        platform.host_repository(repo)
+        token = platform.issue_token("alice").value
+        slug = "alice/fixed"
+        oids = [
+            platform.put_file(slug, "/docs/api/intro.md", b"intro\n", message="add intro",
+                              token=token, branch="topic", timestamp=at(1)),
+            platform.put_file(slug, "/docs/api/intro.md", "intro, revised\n", message="revise intro",
+                              token=token, branch="topic", timestamp=at(2)),
+            platform.delete_file(slug, "/docs/api/intro.md", message="drop intro",
+                                 token=token, branch="topic", timestamp=at(3)),
+            platform.put_file(slug, "/src/util.py", b"x = 1\n", message="add util",
+                              token=token, timestamp=at(4)),
+            platform.delete_file(slug, "/README.md", message="drop readme",
+                                 token=token, timestamp=at(5), author_name="Bob Jones"),
+        ]
+        assert oids == [
+            "354d67d8657fcc519595f470ec027553887c909c",
+            "603446badc907479a1b765f07609ac34a4ce183d",
+            "ab197c2367f9178b6b38bc5e5869bf373e9fdab0",
+            "06ea498cb5b061fa96bb28b727e234c90f387765",
+            "04d5143b69d0c389bb1860175420b9e89f741dae",
+        ]
+        assert repo.branches() == {"main": oids[4], "topic": oids[2]}
+        # The emptied /docs/api (and with it /docs) is pruned from the tree.
+        assert [entry["path"] for entry in platform.list_tree(slug, ref="topic")] == [
+            "/README.md", "/src", "/src/main.py",
+        ]
+        assert repo.read_file("/src/util.py") == b"x = 1\n"
+        assert not repo.file_exists("/README.md")
+
+    def test_contents_commit_to_other_branch_leaves_worktree_alone(self, platform, alice_token):
+        repo = platform.get_repository("alice/demo").repo
+        old_tip = repo.create_branch("topic")
+        before = (repo.worktree_generation, repo.current_branch, repo.head_oid())
+        oid = platform.put_file(
+            "alice/demo", "/docs/new.md", b"new\n", message="add doc", token=alice_token, branch="topic"
+        )
+        assert (repo.worktree_generation, repo.current_branch, repo.head_oid()) == before
+        assert repo.branches()["topic"] == oid
+        diff = repo.diff(old_tip, oid, detect_renames=False)
+        assert [(entry.old_path, entry.new_path) for entry in diff.entries] == [(None, "/docs/new.md")]
+
+    def test_contents_commit_to_checked_out_branch_keeps_local_work(
+        self, platform, alice_token, enabled_manager
+    ):
+        """The hub's edit lands in the shared worktree in place: deferred
+        citation state and another path's local edit stay uncommitted, and a
+        path with local changes is refused as a 422."""
+        repo = enabled_manager.repo
+        tip = repo.head_oid()
+        repo.write_file("/notes.txt", b"local\n")
+        citation = enabled_manager.default_root_citation(authors=("Bob Jones",))
+        with enabled_manager.batch():
+            enabled_manager.add_cite("/src/main.py", citation)
+            oid = platform.put_file(
+                "alice/demo", "/docs/new.md", b"new\n", message="add doc", token=alice_token
+            )
+            put = RestApi(platform).request(
+                "PUT", "/repos/alice/demo/contents/notes.txt", token=alice_token,
+                payload={"message": "m", "content": base64.b64encode(b"hub\n").decode("ascii")},
+            )
+            delete = RestApi(platform).request(
+                "DELETE", "/repos/alice/demo/contents/notes.txt", token=alice_token,
+                payload={"message": "m"},
+            )
+        for response in (put, delete):
+            assert (response.status, response.json["retryable"]) == (422, False)
+        assert repo.head_oid() == oid
+        diff = repo.diff(tip, oid, detect_renames=False)
+        assert [(entry.old_path, entry.new_path) for entry in diff.entries] == [(None, "/docs/new.md")]
+        status = repo.status()
+        assert (status.modified, status.untracked) == ((CITATION_FILE_PATH,), ("/notes.txt",))
+        assert enabled_manager.gen_cite("/src/main.py").citation == citation
+
+    def test_checked_out_citation_edit_reaches_the_manager(self, platform, alice_token, enabled_manager):
+        function = enabled_manager.citation_function().copy()
+        citation = enabled_manager.default_root_citation(authors=("Bob Jones",))
+        function.put("/docs/guide.md", citation, is_directory=False)
+        platform.put_file(
+            "alice/demo", CITATION_FILE_PATH, dump_citation_bytes(function), message="cite guide",
+            token=alice_token,
+        )
+        assert enabled_manager.citation_function().get_explicit("/docs/guide.md") == citation
 
     def test_fork_copies_history_to_new_owner(self, platform, bob_token):
         hosted = platform.fork("alice/demo", token=bob_token)
