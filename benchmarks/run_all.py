@@ -32,6 +32,7 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import random
 import sys
@@ -45,9 +46,10 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.citation.citefile import CITATION_FILE_PATH, load_citation_bytes  # noqa: E402
+from repro.extension.client import ExtensionClient  # noqa: E402
 from repro.citation.retro import AttributionIndex, FileAttribution  # noqa: E402
 from repro.errors import RemoteError, ValidationError  # noqa: E402
-from repro.hub.api import RestApi  # noqa: E402
+from repro.hub.api import ApiVerbs, RestApi  # noqa: E402
 from repro.hub.durability import PushJournal, journal_path, recover_working_copy  # noqa: E402
 from repro.hub.httpd import HttpTransport, HubHttpServer  # noqa: E402
 from repro.hub.ratelimit import RateLimiter  # noqa: E402
@@ -162,7 +164,7 @@ def bench_cite_at_ref(num_calls: int = 300) -> dict:
 
     baseline_s = _timed(run_baseline)
 
-    manager._parse_cache.clear()
+    manager._parsed.clear()
     optimized_results = []
 
     def run_optimized():
@@ -1085,6 +1087,76 @@ def bench_fsck(num_files: int = 5000, history_commits: int = 6) -> dict:
     }
 
 
+class _RequestCountingApi(ApiVerbs):
+    """Forwards every request to ``inner``, counting them."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.requests = 0
+
+    def request(self, method, url, token=None, payload=None):
+        self.requests += 1
+        return self.inner.request(method, url, token=token, payload=payload)
+
+
+def bench_extension_repeated_view(num_views: int = 300) -> dict:
+    """Repeated extension views over REST: the seed's view vs ``view_node``.
+
+    In process over :class:`RestApi`.  The baseline copies the seed's view:
+    ``GET /user``, the permission ``GET``, then the contents ``GET`` and a
+    parse of ``citation.cite``, on every view.  The optimized side is
+    :meth:`ExtensionClient.view_node`, which memoises the login per token
+    and the parse per blob oid (the contents reply's ``sha``).  After one
+    warm-up view, ``requests_per_view`` counts the requests of the optimized
+    views and ``parses_per_repeated_view`` the parse-cache misses; both are
+    hardware-independent gates (2 and 0 when the caches hold).
+    """
+    workload = generate_repository(WorkloadConfig(seed=42, num_files=300, citation_density=0.2))
+    platform = HostingPlatform(rate_limiter=RateLimiter(enabled=False))
+    hosted = platform.host_repository(workload.repo)
+    slug, ref = hosted.full_name, hosted.default_branch
+    token = platform.issue_token(workload.repo.owner).value
+    api = _RequestCountingApi(RestApi(platform))
+    probes = workload.file_paths[::5][:60]
+
+    def seed_view(path: str):
+        login = api.get("/user", token=token).json["login"]
+        api.get(f"/repos/{slug}/collaborators/{login}/permission", token=token)
+        body = api.get(f"/repos/{slug}/contents{CITATION_FILE_PATH}?ref={ref}", token=token).json
+        return load_citation_bytes(base64.b64decode(body["content"])).resolve(path)
+
+    baseline_results = []
+
+    def run_baseline():
+        for i in range(num_views):
+            baseline_results.append(seed_view(probes[i % len(probes)]))
+
+    baseline_s = _timed(run_baseline)
+
+    client = ExtensionClient(api, token=token)
+    client.view_node(slug, probes[0], ref=ref)
+    api.requests = 0
+    misses = client._parsed.misses
+    optimized_results = []
+
+    def run_optimized():
+        for i in range(num_views):
+            optimized_results.append(client.view_node(slug, probes[i % len(probes)], ref=ref).resolved)
+
+    optimized_s = _timed(run_optimized)
+
+    return {
+        "baseline_s": baseline_s,
+        "optimized_s": optimized_s,
+        "speedup": baseline_s / optimized_s,
+        "outputs_identical": baseline_results == optimized_results,
+        "views": num_views,
+        "citation_file_bytes": len(workload.repo.read_file_at(ref, CITATION_FILE_PATH)),
+        "requests_per_view": api.requests / num_views,
+        "parses_per_repeated_view": (client._parsed.misses - misses) / num_views,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Concurrency scenario (PR 7)
 # ---------------------------------------------------------------------------
@@ -1368,6 +1440,7 @@ SCENARIOS = {
     "fsck_5k": bench_fsck,
     "concurrent_push_pull": bench_concurrent_push_pull,
     "serve_durable_push": bench_serve_durable_push,
+    "extension_repeated_view": bench_extension_repeated_view,
 }
 
 

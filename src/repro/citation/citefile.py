@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import CitationFileError
 from repro.citation.function import CitationEntry, CitationFunction
@@ -37,6 +37,7 @@ __all__ = [
     "loads_citation_file",
     "dump_citation_bytes",
     "load_citation_bytes",
+    "ParseCache",
 ]
 
 #: The file name used at the root of every version.
@@ -104,3 +105,38 @@ def load_citation_bytes(data: bytes) -> CitationFunction:
     except UnicodeDecodeError as exc:
         raise CitationFileError(f"citation.cite is not valid UTF-8: {exc}") from exc
     return loads_citation_file(text)
+
+
+#: Upper bound on distinct parsed ``citation.cite`` blobs kept per cache.
+_PARSE_CACHE_LIMIT = 128
+
+
+class ParseCache:
+    """Parsed ``citation.cite`` files memoised by blob oid, least recently used evicted.
+
+    A blob oid names its bytes, so a cached parse never goes stale and one
+    entry serves every repository and ref holding the same file.  Entries
+    are shared instances: callers treat them as read-only and ``copy()``
+    before mutating.  ``misses`` counts the parses actually made.  Not
+    thread-safe: each cache belongs to one client or manager.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[str, CitationFunction] = {}
+        self.misses = 0
+
+    def get(self, blob_oid: str, load: Callable[[], CitationFunction]) -> CitationFunction:
+        """The parse of ``blob_oid``, calling ``load()`` only on a miss."""
+        # Pop-and-reinsert keeps the dict ordered least-recently-used first,
+        # so eviction drops cold entries and hot blobs (HEAD) stay warm.
+        function = self._entries.pop(blob_oid, None)
+        if function is None:
+            function = load()
+            self.misses += 1
+            while len(self._entries) >= _PARSE_CACHE_LIMIT:
+                self._entries.pop(next(iter(self._entries)))
+        self._entries[blob_oid] = function
+        return function
+
+    def clear(self) -> None:
+        self._entries.clear()

@@ -23,6 +23,7 @@ from repro.errors import CitationConflictError, CitationFileError, MergeConflict
 from repro.citation.citefile import (
     CITATION_FILE_NAME,
     CITATION_FILE_PATH,
+    ParseCache,
     dump_citation_bytes,
     load_citation_bytes,
 )
@@ -73,10 +74,6 @@ class CopyCiteOutcome:
     destination: str
 
 
-#: Upper bound on distinct parsed ``citation.cite`` blobs kept per manager.
-_PARSE_CACHE_LIMIT = 128
-
-
 class CitationManager:
     """Manage the citation function of a repository's working tree.
 
@@ -104,7 +101,7 @@ class CitationManager:
         self._dirty = False
         self._deferred_disk_state: Optional[bytes] = None
         self._function_generation = repo.worktree_generation
-        self._parse_cache: dict[str, CitationFunction] = {}
+        self._parsed = ParseCache()
 
     # ------------------------------------------------------------------
     # Citation file plumbing
@@ -319,15 +316,7 @@ class CitationManager:
         (e.g. a CopyCite source repository) share one cache entry per
         distinct content.
         """
-        # Pop-and-reinsert keeps the dict ordered least-recently-used first,
-        # so eviction drops cold entries and hot blobs (HEAD) stay warm.
-        cached = self._parse_cache.pop(blob_oid, None)
-        if cached is None:
-            cached = load_citation_bytes(store.get_blob(blob_oid).data)
-            while len(self._parse_cache) >= _PARSE_CACHE_LIMIT:
-                self._parse_cache.pop(next(iter(self._parse_cache)))
-        self._parse_cache[blob_oid] = cached
-        return cached
+        return self._parsed.get(blob_oid, lambda: load_citation_bytes(store.get_blob(blob_oid).data))
 
     def citation_function_at(self, ref: str) -> CitationFunction:
         """The citation function stored in a committed version."""

@@ -9,6 +9,15 @@ directly modifies the citation file on the remote repository").
 ``owner/name`` slugs, refs and paths; it downloads ``citation.cite`` through
 the contents endpoint, evaluates the citation function locally, and — for
 project members — uploads the modified file back through the same endpoint.
+
+Repeated views are cheap.  The contents reply carries the file's blob oid
+(``sha``), and a version's ``citation.cite`` never changes for a given oid,
+so parses are memoised in a :class:`~repro.citation.citefile.ParseCache`
+keyed by it.  The signed-in login is memoised per token, since a token
+names one user for its whole life; a 401 drops it.  Membership is never
+cached: each view asks for the permission again, so a grant or revocation
+shows up on the next view.  A view therefore makes two requests, the
+contents ``GET`` and the permission ``GET``.
 """
 
 from __future__ import annotations
@@ -17,12 +26,17 @@ import base64
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import CitationFileError, HubError, NotFoundError, PermissionDeniedError
-from repro.citation.citefile import CITATION_FILE_PATH, dumps_citation_file, loads_citation_file
+from repro.errors import CitationFileError, HubError, PermissionDeniedError
+from repro.citation.citefile import (
+    CITATION_FILE_PATH,
+    ParseCache,
+    dumps_citation_file,
+    load_citation_bytes,
+)
 from repro.citation.function import CitationFunction, ResolvedCitation
 from repro.citation.operators import AddCite, DelCite, ModifyCite, apply_operation
 from repro.citation.record import Citation
-from repro.hub.api import RestApi
+from repro.hub.api import RestApi, raise_for_status
 from repro.hub.retry import RetryingApi, RetryPolicy
 from repro.utils.paths import normalize_path
 
@@ -63,6 +77,9 @@ class ExtensionClient:
     ) -> None:
         self.api = RetryingApi(api, policy=retry) if retry is not None else api
         self.token = token
+        #: ``(token, login)`` of the last token whose login is known.
+        self._login: Optional[tuple[str, str]] = None
+        self._parsed = ParseCache()
 
     # ------------------------------------------------------------------
     # Session / identity
@@ -78,16 +95,24 @@ class ExtensionClient:
         if not response.ok:
             raise PermissionDeniedError(f"sign-in failed: {response.json.get('message')}")
         self.token = token
+        self._login = (token, response.json["login"])
         return response.json["login"]
 
     def sign_out(self) -> None:
         self.token = None
+        self._login = None
 
     def current_login(self) -> Optional[str]:
-        if self.token is None:
+        """The login of the current token, asked of the hub once per token."""
+        token = self.token
+        if token is None:
             return None
-        response = self.api.get("/user", token=self.token)
-        return response.json["login"] if response.ok else None
+        if self._login is None or self._login[0] != token:
+            response = self.api.get("/user", token=token)
+            if not response.ok:
+                return None
+            self._login = (token, response.json["login"])
+        return self._login[1]
 
     # ------------------------------------------------------------------
     # Remote repository inspection
@@ -102,18 +127,30 @@ class ExtensionClient:
         return self.repository_info(slug)["default_branch"]
 
     def is_member(self, slug: str) -> bool:
-        """Whether the signed-in user may modify files (add/delete citations)."""
+        """Whether the signed-in user may modify files (add/delete citations).
+
+        Asked of the hub on every call, so a changed permission is never stale.
+        """
         login = self.current_login()
         if login is None:
             return False
         response = self.api.get(f"/repos/{slug}/collaborators/{login}/permission", token=self.token)
+        if response.status == 401:
+            self._login = None
         if not response.ok:
             return False
         return response.json["permission"] in ("write", "admin")
 
     def citation_function(self, slug: str, ref: Optional[str] = None) -> CitationFunction:
-        """Download and parse the remote ``citation.cite`` of a version."""
-        ref = ref or self.default_branch(slug)
+        """The remote ``citation.cite`` of a version, parsed (a private copy)."""
+        return self._function_at(slug, ref or self.default_branch(slug)).copy()
+
+    def _function_at(self, slug: str, ref: str) -> CitationFunction:
+        """The parsed ``citation.cite`` at ``ref`` — shared cache instance, read-only.
+
+        The file is downloaded every time; it is parsed only when its blob
+        oid (the reply's ``sha``) is not cached yet.
+        """
         url = f"/repos/{slug}/contents{CITATION_FILE_PATH}?ref={ref}"
         response = self.api.get(url, token=self.token)
         if response.status == 404:
@@ -121,8 +158,10 @@ class ExtensionClient:
                 f"{slug}@{ref} is not citation-enabled (no {CITATION_FILE_PATH[1:]} found)"
             )
         self._raise_for_status(response)
-        text = base64.b64decode(response.json["content"]).decode("utf-8")
-        return loads_citation_file(text)
+        body = response.json
+        return self._parsed.get(
+            body["sha"], lambda: load_citation_bytes(base64.b64decode(body["content"]))
+        )
 
     # ------------------------------------------------------------------
     # GenCite (available to everyone with read access)
@@ -131,7 +170,7 @@ class ExtensionClient:
     def view_node(self, slug: str, path: str, ref: Optional[str] = None) -> RemoteCitationView:
         """Gather what the popup needs for one node (Figure 2's main view)."""
         ref = ref or self.default_branch(slug)
-        function = self.citation_function(slug, ref)
+        function = self._function_at(slug, ref)
         canonical = normalize_path(path)
         return RemoteCitationView(
             slug=slug,
@@ -193,7 +232,7 @@ class ExtensionClient:
                 "(non-members can still generate citations)"
             )
         ref = ref or self.default_branch(slug)
-        function = self.citation_function(slug, ref)
+        function = self._function_at(slug, ref).copy()
         apply_operation(function, operation)
         payload = {
             "message": message,
@@ -208,13 +247,7 @@ class ExtensionClient:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _raise_for_status(response) -> None:
-        if response.ok:
-            return
-        message = (response.json or {}).get("message", "request failed")
-        if response.status == 404:
-            raise NotFoundError(message)
-        if response.status == 403:
-            raise PermissionDeniedError(message)
-        raise HubError(message)
+    def _raise_for_status(self, response) -> None:
+        if response.status == 401:
+            self._login = None
+        raise_for_status(response, HubError)

@@ -35,22 +35,26 @@ from __future__ import annotations
 import base64
 import binascii
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro import faults
 from repro.errors import (
+    AuthenticationError,
     HubError,
     InvalidObjectError,
     NotFoundError,
     ObjectNotFoundError,
+    PermissionDeniedError,
+    RateLimitExceededError,
     StorageError,
     ValidationError,
 )
 from repro.hub.models import Permission
 from repro.hub.server import HostingPlatform
+from repro.vcs.objects import Blob
 
-__all__ = ["ApiResponse", "ApiVerbs", "RestApi"]
+__all__ = ["ApiResponse", "ApiVerbs", "RestApi", "raise_for_status"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,30 @@ class ApiResponse:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
+
+
+#: The wire statuses a client turns back into the typed exception the server raised.
+_STATUS_ERRORS = {
+    error.status_code: error
+    for error in (AuthenticationError, PermissionDeniedError, NotFoundError, ValidationError)
+}
+
+
+def raise_for_status(response: ApiResponse, fallback: Callable[[str], Exception]) -> None:
+    """Raise the client exception of a non-2xx response; return on 2xx.
+
+    401, 403, 404, 422 and 429 raise their :class:`HubError` subclass (a 429
+    carries the body's ``retry_after``); any other status raises
+    ``fallback(message)``, so each client picks its own catch-all type.
+    """
+    if response.ok:
+        return
+    body = response.json if isinstance(response.json, dict) else {}
+    message = body.get("message", f"HTTP {response.status}")
+    if response.status == RateLimitExceededError.status_code:
+        raise RateLimitExceededError(message, retry_after=body.get("retry_after"))
+    error = _STATUS_ERRORS.get(response.status, fallback)
+    raise error(message)
 
 
 class ApiVerbs:
@@ -324,9 +352,10 @@ class RestApi(ApiVerbs):
         slug = self._slug(route)
         path = self._contents_path(route)
         ref = route.query.get("ref")
-        data = self.platform.get_file(slug, path, ref=ref, token=token)
+        oid, data = self.platform.file_at(slug, path, ref=ref, token=token)
         return {
             "path": path.lstrip("/"),
+            "sha": oid,
             "encoding": "base64",
             "content": base64.b64encode(data).decode("ascii"),
             "size": len(data),
@@ -359,7 +388,10 @@ class RestApi(ApiVerbs):
             branch=payload.get("branch"),
             author_name=(payload.get("committer") or {}).get("name"),
         )
-        return {"content": {"path": path.lstrip("/")}, "commit": {"sha": commit_oid}}
+        return {
+            "content": {"path": path.lstrip("/"), "sha": Blob(content).oid},
+            "commit": {"sha": commit_oid},
+        }
 
     def _delete_contents(self, route: _Route, token: Optional[str], payload: dict) -> dict:
         slug = self._slug(route)

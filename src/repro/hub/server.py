@@ -372,11 +372,20 @@ class HostingPlatform:
     def get_file(self, slug: str, path: str, ref: Optional[str] = None,
                  token: Optional[str] = None) -> bytes:
         """Read a file from a repository version (read access required)."""
+        return self.file_at(slug, path, ref=ref, token=token)[1]
+
+    def file_at(self, slug: str, path: str, ref: Optional[str] = None,
+                token: Optional[str] = None) -> tuple[str, bytes]:
+        """A file of a repository version as ``(blob oid, bytes)`` (read access required).
+
+        The oid is the one the path lookup resolves, not a re-hash of the bytes.
+        """
         hosted = self.get_repository(slug, token=token)
         repo = hosted.repo
         resolved_ref = ref or hosted.default_branch
         try:
-            return repo.read_file_at(resolved_ref, path)
+            oid = repo.blob_oid_at(resolved_ref, path)
+            return oid, repo.store.get_blob(oid).data
         except (StorageError, ObjectNotFoundError, InvalidObjectError):
             # Storage corruption (a blob that fails its integrity re-hash, a
             # dangling tree entry) is a server-side failure: it must surface,

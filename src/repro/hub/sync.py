@@ -20,14 +20,8 @@ from __future__ import annotations
 from base64 import b64decode, b64encode
 from typing import Optional
 
-from repro.errors import (
-    AuthenticationError,
-    NotFoundError,
-    PermissionDeniedError,
-    RateLimitExceededError,
-    RemoteError,
-    ValidationError,
-)
+from repro.errors import RemoteError
+from repro.hub.api import raise_for_status
 from repro.vcs.remote import Remote
 from repro.vcs.transfer import RefAdvertisement
 
@@ -40,19 +34,7 @@ def _raise_for_status(response, context: str) -> None:
         raise RemoteError(f"{context}: no response from hub")
     if response.ok:
         return
-    body = response.json if isinstance(response.json, dict) else {}
-    message = body.get("message", f"HTTP {response.status}")
-    if response.status == 401:
-        raise AuthenticationError(message)
-    if response.status == 403:
-        raise PermissionDeniedError(message)
-    if response.status == 404:
-        raise NotFoundError(message)
-    if response.status == 422:
-        raise ValidationError(message)
-    if response.status == 429:
-        raise RateLimitExceededError(message, retry_after=body.get("retry_after"))
-    raise RemoteError(f"{context}: {message}")
+    raise_for_status(response, lambda message: RemoteError(f"{context}: {message}"))
 
 
 class HubRemote(Remote):

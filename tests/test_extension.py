@@ -1,12 +1,26 @@
 """Tests for the browser-extension simulator: client operations and the Figure 2 popup."""
 
+import base64
+
 import pytest
 
-from repro.errors import CitationError, CitationFileError, NotFoundError, PermissionDeniedError
+from repro.citation.citefile import CITATION_FILE_PATH
+from repro.errors import (
+    AuthenticationError,
+    CitationError,
+    CitationFileError,
+    HubError,
+    NotFoundError,
+    PermissionDeniedError,
+    RateLimitExceededError,
+    RemoteError,
+    ValidationError,
+)
 from repro.extension.client import ExtensionClient
 from repro.extension.popup import PopupSession
-from repro.hub.api import RestApi
+from repro.hub.api import ApiResponse, ApiVerbs, RestApi
 from repro.hub.server import HostingPlatform
+from repro.hub.sync import HubRemote
 
 
 @pytest.fixture
@@ -103,6 +117,126 @@ class TestExtensionClient:
         client = ExtensionClient(hosted["api"], token=hosted["member"])
         with pytest.raises(NotFoundError):
             client.repository_info("alice/ghost")
+
+
+class _CountingApi(ApiVerbs):
+    """Forwards to a :class:`RestApi`, recording ``(method, path)`` of each request."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.requests: list[tuple[str, str]] = []
+
+    def request(self, method, url, token=None, payload=None):
+        self.requests.append((method, url.split("?")[0]))
+        return self.inner.request(method, url, token=token, payload=payload)
+
+
+class _CannedApi(ApiVerbs):
+    """Answers every request with one fixed status."""
+
+    def __init__(self, status: int) -> None:
+        self.status = status
+
+    def request(self, method, url, token=None, payload=None):
+        return ApiResponse(self.status, {"message": "canned", "retry_after": 7})
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "status, extension_error, remote_error",
+        [
+            (401, AuthenticationError, AuthenticationError),
+            (403, PermissionDeniedError, PermissionDeniedError),
+            (404, NotFoundError, NotFoundError),
+            (422, ValidationError, ValidationError),
+            (429, RateLimitExceededError, RateLimitExceededError),
+            (500, HubError, RemoteError),
+        ],
+    )
+    def test_status_maps_to_the_same_exception_in_both_clients(
+        self, status, extension_error, remote_error
+    ):
+        with pytest.raises(extension_error) as raised:
+            ExtensionClient(_CannedApi(status)).repository_info("alice/demo")
+        assert type(raised.value) is extension_error
+        with pytest.raises(remote_error) as remote_raised:
+            HubRemote(_CannedApi(status), "alice/demo").repository_info()
+        assert type(remote_raised.value) is remote_error
+        if status == 429:
+            assert raised.value.retry_after == remote_raised.value.retry_after == 7
+
+    def test_unchanged_modify_is_a_validation_error(self, hosted, sample_citation):
+        member = ExtensionClient(hosted["api"], token=hosted["member"])
+        with pytest.raises(ValidationError):
+            member.modify_citation(hosted["slug"], "/src/main.py", sample_citation)
+
+    def test_revoked_token_is_an_authentication_error(self, hosted):
+        member = ExtensionClient(hosted["api"], token=hosted["member"])
+        assert member.view_node(hosted["slug"], "/src/main.py").is_member
+        hosted["platform"].tokens.revoke(hosted["member"])
+        with pytest.raises(AuthenticationError):
+            member.view_node(hosted["slug"], "/src/main.py")
+        assert member.current_login() is None
+        assert not member.is_member(hosted["slug"])
+
+
+class TestViewCache:
+    def test_repeated_view_parses_once_in_two_requests(self, hosted):
+        api = _CountingApi(hosted["api"])
+        member = ExtensionClient(api, token=hosted["member"])
+        first = member.view_node(hosted["slug"], "/src/main.py", ref="main")
+        assert member._parsed.misses == 1
+        api.requests.clear()
+        for _ in range(5):
+            assert member.view_node(hosted["slug"], "/src/main.py", ref="main") == first
+        assert member._parsed.misses == 1
+        assert len(api.requests) == 10
+        assert ("GET", "/user") not in api.requests
+
+    def test_login_is_asked_once_per_token(self, hosted):
+        api = _CountingApi(hosted["api"])
+        client = ExtensionClient(api, token=hosted["member"])
+        assert client.current_login() == client.current_login() == "alice"
+        client.token = hosted["visitor"]
+        assert client.current_login() == "visitor"
+        assert api.requests.count(("GET", "/user")) == 2
+        client.sign_out()
+        assert client.current_login() is None
+
+    def test_another_clients_edit_shows_up_on_the_next_view(self, hosted, other_citation):
+        reader = ExtensionClient(hosted["api"], token=hosted["visitor"])
+        writer = ExtensionClient(hosted["api"], token=hosted["member"])
+        before = reader.view_node(hosted["slug"], "/src/main.py")
+        writer.modify_citation(hosted["slug"], "/src/main.py", other_citation)
+        after = reader.view_node(hosted["slug"], "/src/main.py")
+        assert after.explicit_citation == other_citation != before.explicit_citation
+        assert reader._parsed.misses == 2
+
+    def test_returned_function_is_a_private_copy(self, hosted, sample_citation):
+        client = ExtensionClient(hosted["api"], token=hosted["visitor"])
+        function = client.citation_function(hosted["slug"])
+        function.detach("/src/main.py")
+        assert client.citation_function(hosted["slug"]).get_explicit("/src/main.py") == sample_citation
+        view = client.view_node(hosted["slug"], "/src/main.py")
+        assert view.explicit_citation == sample_citation
+
+    def test_a_write_grant_shows_up_on_the_next_view(self, hosted):
+        visitor = ExtensionClient(hosted["api"], token=hosted["visitor"])
+        assert not visitor.view_node(hosted["slug"], "/src/main.py").is_member
+        hosted["platform"].add_collaborator(hosted["slug"], "visitor", "write")
+        assert visitor.view_node(hosted["slug"], "/src/main.py").is_member
+
+    def test_contents_sha_is_the_blob_oid(self, hosted, other_citation):
+        api, slug = hosted["api"], hosted["slug"]
+        repo = hosted["platform"].get_repository(slug).repo
+        url = f"/repos/{slug}/contents{CITATION_FILE_PATH}"
+        read = api.get(f"{url}?ref=main", token=hosted["member"]).json
+        assert read["sha"] == repo.blob_oid_at("main", CITATION_FILE_PATH)
+        content = base64.b64decode(read["content"]).replace(b"Yinjun Wu", b"Y. Wu")
+        payload = {"message": "edit", "content": base64.b64encode(content).decode("ascii")}
+        written = api.put(url, payload, token=hosted["member"]).json
+        assert written["content"]["sha"] == repo.blob_oid_at("main", CITATION_FILE_PATH)
+        assert written["content"]["sha"] != read["sha"]
 
 
 class TestPopupSession:
