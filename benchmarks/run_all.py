@@ -35,10 +35,12 @@ import argparse
 import base64
 import json
 import random
+import shutil
 import sys
 import tempfile
 import threading
 import time
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +50,7 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 from repro.citation.citefile import CITATION_FILE_PATH, load_citation_bytes  # noqa: E402
 from repro.extension.client import ExtensionClient  # noqa: E402
 from repro.citation.retro import AttributionIndex, FileAttribution  # noqa: E402
-from repro.errors import RemoteError, ValidationError  # noqa: E402
+from repro.errors import CorruptObjectError, RemoteError, ValidationError  # noqa: E402
 from repro.hub.api import ApiVerbs, RestApi  # noqa: E402
 from repro.hub.durability import PushJournal, journal_path, recover_working_copy  # noqa: E402
 from repro.hub.httpd import HttpTransport, HubHttpServer  # noqa: E402
@@ -58,7 +60,8 @@ from repro.hub.server import HostingPlatform  # noqa: E402
 from repro.hub.sync import HubRemote  # noqa: E402
 from repro.vcs.merge import is_ancestor_commit  # noqa: E402
 from repro.utils.hashing import object_id  # noqa: E402
-from repro.utils.jsonutil import stable_loads  # noqa: E402
+from repro.utils import atomicio  # noqa: E402
+from repro.utils.jsonutil import pretty_dumps, stable_loads  # noqa: E402
 from repro.utils.paths import ROOT, is_ancestor, path_parent  # noqa: E402
 from repro.utils.timeutil import FixedClock, reset_clock, set_clock  # noqa: E402
 from repro.vcs.fsck import fsck_working_copy  # noqa: E402
@@ -70,7 +73,8 @@ from repro.vcs.remote import LocalRemote, clone_repository, push  # noqa: E402
 from repro.vcs.transfer import apply_bundle, common_tips, create_bundle  # noqa: E402
 from repro.vcs.treeops import flatten_tree  # noqa: E402
 from repro.vcs.repository import Repository  # noqa: E402
-from repro.vcs.storage import MemoryBackend, make_backend  # noqa: E402
+from repro.vcs.storage import MemoryBackend, ObjectBackend  # noqa: E402
+from repro.vcs.storage.loose import decode_loose_object  # noqa: E402
 from repro.vcs.storage.pack import PackBackend  # noqa: E402
 from repro.vcs.treeops import build_tree  # noqa: E402
 from repro.vcs.workingcopy import load_repository, save_repository  # noqa: E402
@@ -337,9 +341,95 @@ def bench_retro_directory_authors(num_files: int = 1500, num_authors: int = 60) 
 # ---------------------------------------------------------------------------
 
 #: Every commit in the storage scenarios is pinned to one timestamp so the
-#: three backends produce byte-identical histories (the identity check).
+#: three layouts produce byte-identical histories (the identity check).
 _STORAGE_STAMP = datetime(2018, 9, 1, 12, 0, 0, tzinfo=timezone.utc)
 _STORAGE_KINDS = ("memory", "loose", "pack")
+
+
+class _SeedLooseBackend(ObjectBackend):
+    """The seed's loose layout, kept here as the storage baselines' write path.
+
+    One ``zlib.compress(b"<type> <size>\\0" + payload)`` file per object under
+    ``ab/cdef…``, written atomically; reads re-hash, type probes decompress
+    only the header.  The program no longer writes this layout.
+    """
+
+    kind = "loose"
+
+    def __init__(self, root: Path) -> None:
+        super().__init__()
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._known: set[str] = set()
+
+    def _path(self, oid: str) -> Path:
+        return self.root / oid[:2] / oid[2:]
+
+    def write(self, oid: str, type_name: str, payload: bytes) -> bool:
+        with self._write_lock:
+            if oid in self._known:
+                return False
+            target = self._path(oid)
+            target.parent.mkdir(exist_ok=True)
+            header = f"{type_name} {len(payload)}\0".encode("ascii")
+            atomicio.atomic_write_bytes(target, zlib.compress(header + payload))
+            self._known.add(oid)
+            self.mutation_counter += 1
+            return True
+
+    def read(self, oid: str) -> tuple[str, bytes]:
+        if oid not in self._known:
+            raise KeyError(oid)
+        type_name, payload = decode_loose_object(self._path(oid).read_bytes())
+        if object_id(type_name, payload) != oid:
+            raise CorruptObjectError(oid, "payload does not hash to the file's oid")
+        return type_name, payload
+
+    def read_type(self, oid: str) -> str:
+        if oid not in self._known:
+            raise KeyError(oid)
+        with self._path(oid).open("rb") as handle:
+            header = zlib.decompressobj().decompress(handle.read(64), 64)
+        return header.partition(b" ")[0].decode("ascii")
+
+    def __contains__(self, oid: str) -> bool:
+        return oid in self._known
+
+    def __len__(self) -> int:
+        return len(self._known)
+
+    def iter_oids(self):
+        return iter(sorted(self._known))
+
+    def stats(self) -> dict:
+        disk = sum(self._path(oid).stat().st_size for oid in self._known)
+        return {"kind": self.kind, "objects": len(self._known), "disk_bytes": disk}
+
+
+def _save_legacy_copy(repo: Repository, directory: Path, kind: str) -> None:
+    """Save ``repo`` in a legacy layout, as the seed's writer did.
+
+    ``memory`` embeds every object base64-encoded in ``state.json``;
+    ``loose`` writes the seed's loose files.  ``load_repository`` still
+    reads both (the baselines time that real legacy reader).
+    """
+    save_repository(repo, directory)
+    gitcite = directory / ".gitcite"
+    state = stable_loads((gitcite / "state.json").read_text(encoding="utf-8"))
+    state["storage"] = kind
+    records = {oid: repo.store.backend.read(oid) for oid in repo.store.object_ids()}
+    repo.store.close()
+    if kind == "memory":
+        state["objects"] = {
+            oid: {"type": type_name, "payload": base64.b64encode(payload).decode("ascii")}
+            for oid, (type_name, payload) in records.items()
+        }
+    else:
+        loose = _SeedLooseBackend(gitcite / "objects")
+        for oid, (type_name, payload) in records.items():
+            loose.write(oid, type_name, payload)
+    shutil.rmtree(gitcite / "pack")
+    (gitcite / "state.json").write_text(pretty_dumps(state) + "\n", encoding="utf-8")
 
 
 def _build_storage_repo(storage, num_files: int, num_commits: int) -> Repository:
@@ -362,16 +452,22 @@ def _build_storage_repo(storage, num_files: int, num_commits: int) -> Repository
 def bench_storage_bulk_commit(num_files: int = 300, num_commits: int = 15) -> dict:
     """Bulk commits per backend: one file per object (loose) vs buffered packs.
 
-    ``baseline_s`` is the loose layout (the natural on-disk design), and
-    ``optimized_s`` the pack layout; the in-memory time is reported alongside
+    ``baseline_s`` is the loose layout (the natural on-disk design, through
+    the seed's loose writer kept in this file), and ``optimized_s`` the pack
+    layout; the in-memory time is reported alongside
     as the floor.  All three must end on the identical head commit.
     """
     timings: dict[str, float] = {}
     heads: dict[str, str] = {}
     disk_bytes: dict[str, int] = {}
     with tempfile.TemporaryDirectory() as tmp:
+        backends = {
+            "memory": None,
+            "loose": _SeedLooseBackend(Path(tmp) / "loose"),
+            "pack": PackBackend(Path(tmp) / "pack"),
+        }
         for kind in _STORAGE_KINDS:
-            storage = None if kind == "memory" else make_backend(kind, Path(tmp) / kind)
+            storage = backends[kind]
             holder: dict[str, Repository] = {}
 
             def run(storage=storage, holder=holder):
@@ -401,8 +497,9 @@ def bench_storage_cold_open(num_files: int = 250, num_commits: int = 40) -> dict
     """Cold open of a saved working copy (load + full HEAD snapshot) per layout.
 
     ``baseline_s`` is the seed's format (every object embedded base64 in
-    ``state.json``); ``optimized_s`` is the pack layout, which only touches
-    the fanout indexes plus the objects the snapshot actually reads.
+    ``state.json``, written by :func:`_save_legacy_copy` and read by the
+    program's legacy reader); ``optimized_s`` is the pack layout, which only
+    touches the fanout indexes plus the objects the snapshot actually reads.
     """
     source = _build_storage_repo(None, num_files, num_commits)
     timings: dict[str, float] = {}
@@ -411,7 +508,10 @@ def bench_storage_cold_open(num_files: int = 250, num_commits: int = 40) -> dict
     with tempfile.TemporaryDirectory() as tmp:
         for kind in _STORAGE_KINDS:
             directory = Path(tmp) / f"working-copy-{kind}"
-            save_repository(clone_repository(source), directory, storage=kind)
+            if kind == "pack":
+                save_repository(clone_repository(source), directory)
+            else:
+                _save_legacy_copy(clone_repository(source), directory, kind)
             holder: dict[str, object] = {}
 
             def run(directory=directory, holder=holder):
@@ -1028,7 +1128,7 @@ def bench_fsck(num_files: int = 5000, history_commits: int = 6) -> dict:
     holder: dict[str, object] = {}
     with tempfile.TemporaryDirectory() as tmp:
         working_copy = Path(tmp) / "working-copy"
-        save_repository(clone_repository(source), working_copy, storage="pack")
+        save_repository(clone_repository(source), working_copy)
         state = stable_loads(
             (working_copy / ".gitcite" / "state.json").read_text(encoding="utf-8")
         )

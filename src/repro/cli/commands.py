@@ -104,7 +104,7 @@ def cmd_init(args: argparse.Namespace) -> int:
     imported = import_worktree(repo, directory)
     if imported or args.allow_empty:
         repo.commit(args.message or "Initial commit", author_name=args.owner, timestamp=now_utc())
-    save_repository(repo, directory, storage=getattr(args, "storage", None))
+    save_repository(repo, directory)
     _print(f"Initialised gitcite repository {repo.full_name} with {len(imported)} file(s)")
     return 0
 

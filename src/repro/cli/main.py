@@ -10,7 +10,6 @@ from repro.errors import CLIError, ReproError
 from repro.citation.conflict import available_strategies
 from repro.formats import available_formats
 from repro.cli import analyze, bundle, commands, fsck, serve, storage
-from repro.vcs.storage import backend_kinds
 
 __all__ = ["build_parser", "main"]
 
@@ -53,15 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--description", help="repository description")
     p.add_argument("--message", help="initial commit message")
     p.add_argument("--allow-empty", action="store_true", help="commit even if the directory is empty")
-    p.add_argument(
-        "--storage",
-        default="memory",
-        choices=backend_kinds(),
-        help=(
-            "object-store layout: 'memory' embeds objects in state.json, 'loose' keeps one "
-            "compressed file per object, 'pack' uses delta-compressed pack files (default: memory)"
-        ),
-    )
     p.set_defaults(func=commands.cmd_init)
 
     p = sub.add_parser("enable", help="citation-enable the repository (create citation.cite)")
@@ -222,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true", help="list the registered rules and exit")
     p.set_defaults(func=analyze.cmd_analyze)
 
-    p = sub.add_parser("storage", help="object-store maintenance (repack / gc / migrate)")
+    p = sub.add_parser("storage", help="object-store maintenance (repack / gc)")
     storage_sub = p.add_subparsers(dest="storage_command", required=True)
 
     sp = storage_sub.add_parser(
         "repack",
         help="rewrite the object store as one delta-compressed pack file "
-             "(memory/loose working copies are converted to pack storage first)",
+             "(a legacy memory/loose working copy is converted to packs first)",
     )
     _add_common(sp)
     sp.set_defaults(func=storage.cmd_storage_repack)
@@ -236,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = storage_sub.add_parser("gc", help="drop objects unreachable from any branch, tag or HEAD")
     _add_common(sp)
     sp.set_defaults(func=storage.cmd_storage_gc)
-
-    sp = storage_sub.add_parser("migrate", help="switch the working copy to another storage layout")
-    _add_common(sp)
-    sp.add_argument("--to", required=True, choices=backend_kinds(), help="target storage layout")
-    sp.set_defaults(func=storage.cmd_storage_migrate)
 
     p = sub.add_parser("bundle", help="create, verify or apply transfer bundle files")
     bundle_sub = p.add_subparsers(dest="bundle_command", required=True)

@@ -1,4 +1,4 @@
-"""``gitcite storage`` maintenance commands (repack / gc / migrate).
+"""``gitcite storage`` maintenance commands (repack / gc).
 
 The working-copy persistence these commands drive lives in
 :mod:`repro.vcs.workingcopy`.
@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository, switch_storage
+from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository
 
-__all__ = ["cmd_storage_repack", "cmd_storage_gc", "cmd_storage_migrate"]
+__all__ = ["cmd_storage_repack", "cmd_storage_gc"]
 
 
 def _print(message: str = "") -> None:
@@ -21,14 +21,13 @@ def _print(message: str = "") -> None:
 def cmd_storage_repack(args: argparse.Namespace) -> int:
     """Repack the object store into a single optimised pack file.
 
-    A working copy on the ``memory`` or ``loose`` layout is converted to the
-    ``pack`` layout first (that *is* what packing loose objects means), then
-    all packs are rewritten as one with delta compression re-run.
+    A legacy ``memory`` or ``loose`` working copy is saved (converted to
+    packs) first, then all packs are rewritten as one with delta compression
+    re-run.
     """
     repo = load_repository(args.directory)
     if repo.store.backend.kind != "pack":
-        switch_storage(repo, args.directory, "pack")  # writes the state file
-    repo.store.flush()
+        save_repository(repo, args.directory, export_files=False)
     report = repo.store.backend.repack()
     _print(
         f"Repacked {report['objects_after']} object(s): "
@@ -45,16 +44,4 @@ def cmd_storage_gc(args: argparse.Namespace) -> int:
     removed = repo.store.gc(keep)
     save_repository(repo, args.directory, export_files=False)
     _print(f"Removed {removed} unreachable object(s); {len(repo.store)} kept")
-    return 0
-
-
-def cmd_storage_migrate(args: argparse.Namespace) -> int:
-    """Switch the working copy to a different storage layout in place."""
-    repo = load_repository(args.directory)
-    source_kind = repo.store.backend.kind
-    moved = switch_storage(repo, args.directory, args.to)
-    if source_kind != args.to:
-        _print(f"Migrated {moved} object(s) from {source_kind!r} to {args.to!r} storage")
-    else:
-        _print(f"Already on {args.to!r} storage; nothing to migrate")
     return 0

@@ -107,7 +107,6 @@ class FaultAction:
 #: add more at runtime; these exist up front so sweep harnesses can enumerate
 #: the full crash-point space without importing every instrumented module.
 _CANONICAL = (
-    "storage.write",   # loose-object durable write
     "storage.flush",   # pack backend flush (new pack file)
     "pack.idx",        # per-pack fanout index write
     "pack.midx",       # multi-pack index write

@@ -62,6 +62,7 @@ from urllib.parse import urlsplit
 from repro.errors import ReproError, TransportError
 from repro.faults import SimulatedCrash
 from repro.hub.api import ApiResponse, ApiVerbs, RestApi
+from repro.utils.jsonutil import stable_loads
 
 __all__ = ["HubHttpServer", "HttpTransport", "serve_platform"]
 
@@ -173,8 +174,8 @@ class _HubRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return False, None
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+            payload = stable_loads(raw)
+        except ValueError:  # undecodable UTF-8 and too-deep nesting included
             self._send(400, {"message": "request body is not valid JSON", "retryable": False})
             return False, None
         if payload is not None and not isinstance(payload, dict):

@@ -1,7 +1,7 @@
 """Crash-atomic file writes: unique temp names, ``os.replace``, fsync.
 
 Every durable artefact in the repository — ``state.json``, pack data files,
-their indexes, loose objects — goes through :func:`atomic_write_bytes` (or
+their indexes — goes through :func:`atomic_write_bytes` (or
 the streaming :class:`AtomicFile`).  The contract:
 
 * A reader never observes a partial file: data lands under a ``.tmp-*``

@@ -32,7 +32,14 @@ def pretty_dumps(value: Any) -> str:
 
 
 def stable_loads(data: str | bytes) -> Any:
-    """Parse JSON from text or UTF-8 bytes, raising ``ValueError`` on failure."""
+    """Parse JSON from text or UTF-8 bytes, raising ``ValueError`` on failure.
+
+    Nesting deeper than the parser can recurse is malformed input like any
+    other, so its ``RecursionError`` surfaces as ``ValueError`` too.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return json.loads(data)
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None

@@ -24,7 +24,6 @@ what makes the paper's Listing 1 reproducible byte-for-byte.
 from repro.vcs.objects import Blob, Commit, Signature, Tag, Tree, TreeEntry
 from repro.vcs.object_store import ObjectStore
 from repro.vcs.storage import (
-    LooseFileBackend,
     MemoryBackend,
     ObjectBackend,
     PackBackend,
@@ -47,7 +46,6 @@ __all__ = [
     "ObjectStore",
     "ObjectBackend",
     "MemoryBackend",
-    "LooseFileBackend",
     "PackBackend",
     "make_backend",
     "RefStore",

@@ -16,8 +16,10 @@ random-access reads — the ``fsck_5k`` benchmark pins that gap.
 
 Checks, in order:
 
-1. ``state.json`` parses and (memory layout) every embedded object re-hashes;
-2. every loose object / pack record decompresses and re-hashes to its oid;
+1. ``state.json`` parses and (legacy memory layout) every embedded object
+   re-hashes;
+2. every legacy loose object / pack record decompresses and re-hashes to
+   its oid;
 3. every per-pack ``.idx`` and the ``multi-pack-index.midx`` agree with the
    packs they index (they are caches, but a *wrong* cache serves wrong
    offsets, which surfaces as phantom corruption on read);
@@ -47,6 +49,7 @@ from repro.utils import atomicio
 from repro.utils.hashing import object_id
 from repro.utils.jsonutil import stable_loads
 from repro.vcs.objects import deserialize_object
+from repro.vcs.storage.loose import decode_loose_object, loose_object_files
 from repro.vcs.storage.pack import (
     _INDEX_MAGIC,
     _MAX_HEADER_BYTES,
@@ -174,7 +177,7 @@ def _load_state(scan: _ScanState, report: FsckReport) -> None:
 
 
 def _scan_embedded(scan: _ScanState, report: FsckReport) -> None:
-    """Verify the objects a memory-layout state.json embeds."""
+    """Verify the objects a legacy memory-layout state.json embeds."""
     records = (scan.state or {}).get("objects", {})
     if not isinstance(records, dict):
         report.findings.append(Finding("state", "error", "'objects' is not an object"))
@@ -198,40 +201,25 @@ def _scan_embedded(scan: _ScanState, report: FsckReport) -> None:
 
 
 def _scan_loose(scan: _ScanState, report: FsckReport) -> None:
-    root = scan.root / _STATE_DIR / "objects"
-    if not root.is_dir():
-        return
-    hex_digits = set("0123456789abcdef")
-    for shard in sorted(root.iterdir()):
-        if not (shard.is_dir() and len(shard.name) == 2 and set(shard.name) <= hex_digits):
+    """Verify a legacy loose-object directory (left for the next save to convert)."""
+    for oid, entry in loose_object_files(scan.root / _STATE_DIR / "objects"):
+        report.objects_checked += 1
+        try:
+            type_name, payload = decode_loose_object(entry.read_bytes())
+        except (OSError, ValueError) as exc:
+            report.findings.append(Finding(
+                "loose", "error", f"unreadable object file: {exc}", oid=oid, path=str(entry)
+            ))
+            scan.corrupt_loose.append(entry)
             continue
-        for entry in sorted(shard.iterdir()):
-            if not (entry.is_file() and len(entry.name) == 38 and set(entry.name) <= hex_digits):
-                continue
-            oid = shard.name + entry.name
-            report.objects_checked += 1
-            try:
-                decompressed = zlib.decompress(entry.read_bytes())
-                header, separator, payload = decompressed.partition(b"\0")
-                if not separator:
-                    raise ValueError("missing object header")
-                type_name, size_text = header.decode("ascii").split(" ", 1)
-                if int(size_text) != len(payload):
-                    raise ValueError("header size does not match payload")
-            except (OSError, zlib.error, ValueError, UnicodeDecodeError) as exc:
-                report.findings.append(Finding(
-                    "loose", "error", f"unreadable object file: {exc}", oid=oid, path=str(entry)
-                ))
-                scan.corrupt_loose.append(entry)
-                continue
-            if object_id(type_name, payload) != oid:
-                report.findings.append(Finding(
-                    "loose", "error", "payload does not hash to the file's oid",
-                    oid=oid, path=str(entry),
-                ))
-                scan.corrupt_loose.append(entry)
-                continue
-            scan.objects[oid] = (type_name, payload)
+        if object_id(type_name, payload) != oid:
+            report.findings.append(Finding(
+                "loose", "error", "payload does not hash to the file's oid",
+                oid=oid, path=str(entry),
+            ))
+            scan.corrupt_loose.append(entry)
+            continue
+        scan.objects[oid] = (type_name, payload)
 
 
 def _scan_one_pack(pack_path: Path, report: FsckReport) -> _PackScan:
@@ -739,8 +727,8 @@ def _scan(directory: Path) -> tuple[FsckReport, _ScanState]:
     if scan.state is not None:
         if scan.kind == "memory":
             _scan_embedded(scan, report)
-        # Persistent layouts can coexist transiently with embedded objects
-        # (a migration's source); scan whatever is on disk.
+        # A legacy loose directory outlives the state.json that converts it
+        # until the save deletes it; scan whatever is on disk.
         _scan_loose(scan, report)
         _scan_packs(scan, report)
         _find_orphan_tmp(scan, report)

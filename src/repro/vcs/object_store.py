@@ -7,8 +7,8 @@ which is what makes clone/fork/push cheap (only missing objects move) and
 what lets the Software Heritage identifier simulator compute intrinsic ids.
 
 Since PR 2 the store is a thin facade over a pluggable
-:class:`~repro.vcs.storage.ObjectBackend` (in-memory dict, sharded loose
-files, or delta-compressed pack files — see :mod:`repro.vcs.storage`), with a
+:class:`~repro.vcs.storage.ObjectBackend` (in-memory dict or
+delta-compressed pack files — see :mod:`repro.vcs.storage`), with a
 small LRU cache of deserialised objects in front of the backend so hot reads
 skip both I/O and parsing.  The public API is unchanged from the in-memory
 era; callers pick a layout at construction time and nothing else.
@@ -284,7 +284,7 @@ class ObjectStore:
         """Byte length of a stored blob without necessarily reading it.
 
         Cached objects answer from memory; otherwise the backend's size
-        probe runs (header-only for loose files, record-level for packs).
+        probe runs (record-level for packs).
         """
         cached = self._cache.get(oid)
         if isinstance(cached, Blob):

@@ -153,7 +153,7 @@ class Repository:
         """Create an empty repository (no commits yet).
 
         ``storage`` selects the object-store layout: ``None``/``"memory"``
-        (default), ``"loose:<dir>"``, ``"pack:<dir>"``, or a constructed
+        (default), ``"pack:<dir>"``, or a constructed
         :class:`~repro.vcs.storage.ObjectBackend` instance.
         """
         return cls(
@@ -165,19 +165,16 @@ class Repository:
         )
 
     @classmethod
-    def open(cls, directory, storage: str | None = None) -> "Repository":
+    def open(cls, directory) -> "Repository":
         """Open a gitcite working copy saved on disk.
 
-        Delegates to :func:`repro.vcs.workingcopy.load_repository`; ``storage``
-        optionally overrides the *layout name* recorded in the working copy's
-        state file — ``"memory"``, ``"loose"`` or ``"pack"`` (the objects
-        always live under the working copy's ``.gitcite/``, so unlike
-        :meth:`init` no ``kind:<dir>`` specs or backend instances are
-        accepted) — and the working copy is migrated in place.
+        Delegates to :func:`repro.vcs.workingcopy.load_repository`: a pack
+        copy opens its pack store, and a legacy ``memory`` or ``loose`` copy
+        loads into memory until its next save converts it to packs.
         """
         from repro.vcs.workingcopy import load_repository
 
-        return load_repository(directory, storage=storage)
+        return load_repository(directory)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Repository({self.owner}/{self.name}, head={self.head_oid()!r})"

@@ -4,8 +4,8 @@ A backend is a dumb, typed byte store: it maps a 40-character object id to a
 ``(type name, payload bytes)`` pair and knows nothing about blobs, trees or
 commits.  All object semantics (hashing, (de)serialisation, prefix
 resolution, caching) live in the :class:`ObjectStore` facade, which is why
-three very different layouts — an in-memory dict, sharded loose files and
-append-only pack files — can sit behind the same five methods.
+two very different layouts — an in-memory dict and append-only pack files —
+can sit behind the same five methods.
 
 Every mutation bumps :attr:`ObjectBackend.mutation_counter`.  The facade's
 lazily sorted oid index records the counter value it was built against and
@@ -41,7 +41,7 @@ __all__ = ["ObjectBackend", "BackendSpec", "make_backend", "backend_kinds"]
 class ObjectBackend(ABC):
     """Raw ``oid → (type, payload)`` storage with a mutation counter."""
 
-    #: Short machine-readable layout name (``"memory"``/``"loose"``/``"pack"``).
+    #: Short machine-readable layout name (``"memory"``/``"pack"``).
     kind: str = "abstract"
 
     def __init__(self) -> None:
@@ -93,9 +93,9 @@ class ObjectBackend(ABC):
     def read_size(self, oid: str) -> int:
         """Logical payload size in bytes; raise :class:`KeyError` if absent.
 
-        The default pays a full read; layouts that record the size in a
-        header (loose files) or can derive it without reconstructing the
-        payload (pack deltas) override it so size probes stay cheap.
+        The default pays a full read; layouts that can derive it without
+        reconstructing the payload (pack deltas) override it so size probes
+        stay cheap.
         """
         return len(self.read(oid)[1])
 
@@ -137,7 +137,7 @@ class ObjectBackend(ABC):
         """How many file handles the backend currently holds open.
 
         Layouts that keep read handles alive (the pack backend's bounded
-        handle pool) override this; memory/loose layouts open nothing
+        handle pool) override this; the memory layout opens nothing
         between calls and report 0.  Surfaced through :meth:`stats` for the
         CLI and the resource-bound regression tests.
         """
@@ -159,17 +159,16 @@ BackendSpec = Union[None, str, ObjectBackend]
 
 def backend_kinds() -> tuple[str, ...]:
     """The storage layouts :func:`make_backend` knows how to build."""
-    return ("memory", "loose", "pack")
+    return ("memory", "pack")
 
 
 def make_backend(spec: BackendSpec = None, root: str | Path | None = None) -> ObjectBackend:
     """Build a backend from a ``storage=`` specification.
 
     ``None`` or ``"memory"`` yields a fresh :class:`MemoryBackend`;
-    ``"loose"``/``"pack"`` require a directory (either via ``root`` or inline
-    as ``"loose:/some/dir"``); a backend instance is returned unchanged.
+    ``"pack"`` requires a directory (either via ``root`` or inline as
+    ``"pack:/some/dir"``); a backend instance is returned unchanged.
     """
-    from repro.vcs.storage.loose import LooseFileBackend
     from repro.vcs.storage.memory import MemoryBackend
     from repro.vcs.storage.pack import PackBackend
 
@@ -184,9 +183,8 @@ def make_backend(spec: BackendSpec = None, root: str | Path | None = None) -> Ob
         root = inline_root
     if kind == "memory":
         return MemoryBackend()
-    if kind in ("loose", "pack"):
+    if kind == "pack":
         if root is None:
-            raise StorageError(f"storage kind {kind!r} needs a directory (use '{kind}:<dir>')")
-        directory = Path(root)
-        return LooseFileBackend(directory) if kind == "loose" else PackBackend(directory)
+            raise StorageError("storage kind 'pack' needs a directory (use 'pack:<dir>')")
+        return PackBackend(Path(root))
     raise StorageError(f"unknown storage kind {kind!r}; expected one of {backend_kinds()}")

@@ -1,18 +1,14 @@
-"""The loose-file backend: one zlib-compressed file per object.
+"""Reading the legacy loose-object layout (read-only).
 
-Layout (mirroring Git's loose object store)::
+Older working copies kept one zlib-compressed file per object, sharded like
+Git's loose object store::
 
-    <root>/ab/cdef0123...   # first two oid characters shard the directory
+    .gitcite/objects/ab/cdef0123...   # first two oid characters name the shard
 
-Each file holds ``zlib.compress(b"<type> <size>\\0" + payload)``.  Writes are
-atomic (temp file + ``os.replace``) and reads re-hash the payload against the
-file's oid, so silent on-disk corruption is detected at the first read
-instead of propagating into trees and commits.
-
-Writes take the backend write lock and only publish an oid into the known set
-*after* its file is atomically in place, so lock-free readers either miss the
-object entirely (KeyError, as if the write had not happened yet) or find a
-complete, verifiable file — never a torn one.
+Each file holds ``zlib.compress(b"<type> <size>\\0" + payload)``.  Nothing
+writes this layout any more: :func:`repro.vcs.workingcopy.load_repository`
+reads such a copy into memory and the next save converts it to packs, and
+``gitcite fsck`` audits it with the same two helpers.
 """
 
 from __future__ import annotations
@@ -21,181 +17,40 @@ import zlib
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import CorruptObjectError, StorageError
-from repro.utils import atomicio
-from repro.utils.hashing import object_id
-from repro.vcs.storage.base import ObjectBackend
-
-__all__ = ["LooseFileBackend"]
-
-#: Decompressed header prefix fetched when only the type is needed.
-_HEADER_PROBE_BYTES = 64
+__all__ = ["loose_object_files", "decode_loose_object"]
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def _is_hex(text: str) -> bool:
-    return all(character in _HEX_DIGITS for character in text)
+def loose_object_files(root: Path) -> Iterator[tuple[str, Path]]:
+    """Every ``(oid, path)`` under ``root``, in oid order.
+
+    Only well-formed ``ab``/``cdef…`` (2 + 38 hex characters) names count, so
+    a crashed writer's ``.tmp-*`` file or any other stray entry is skipped.
+    """
+    if not root.is_dir():
+        return
+    for shard in sorted(root.iterdir()):
+        if not (shard.is_dir() and len(shard.name) == 2 and set(shard.name) <= _HEX_DIGITS):
+            continue
+        for entry in sorted(shard.iterdir()):
+            if entry.is_file() and len(entry.name) == 38 and set(entry.name) <= _HEX_DIGITS:
+                yield shard.name + entry.name, entry
 
 
-class LooseFileBackend(ObjectBackend):
-    """Sharded ``objects/ab/cdef...`` directory of compressed objects."""
+def decode_loose_object(raw: bytes) -> tuple[str, bytes]:
+    """``(type, payload)`` of one object file; :class:`ValueError` if it does not decode.
 
-    kind = "loose"
-
-    def __init__(self, root: str | Path) -> None:
-        super().__init__()
-        self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StorageError(f"cannot create loose object directory {self.root}: {exc}") from exc
-        self._known: set[str] = set()  # guarded-by: _write_lock
-        # A ``.tmp-*`` visible at open time is a crashed writer's torn file
-        # (live writes exist only between our own write and its rename).
-        atomicio.sweep_orphan_tmp(self.root, recursive=True)
-        self._scan()
-
-    def _scan(self) -> None:  # lint: unguarded-ok(runs from __init__ before the backend is published)
-        """Populate the oid set from the on-disk shard directories.
-
-        Only well-formed ``ab``/``cdef…`` (2 + 38 hex characters) names are
-        accepted: a crash between writing a ``.tmp-*`` file and its atomic
-        rename must not surface as a phantom object that breaks clone,
-        migration and gc on every later open.
-        """
-        for shard in self.root.iterdir():
-            if not (shard.is_dir() and len(shard.name) == 2 and _is_hex(shard.name)):
-                continue
-            for entry in shard.iterdir():
-                if entry.is_file() and len(entry.name) == 38 and _is_hex(entry.name):
-                    self._known.add(shard.name + entry.name)
-
-    def _path_for(self, oid: str) -> Path:
-        return self.root / oid[:2] / oid[2:]
-
-    # -- core API ----------------------------------------------------------
-
-    def write(self, oid: str, type_name: str, payload: bytes) -> bool:
-        with self._write_lock:
-            if oid in self._known:
-                return False
-            header = f"{type_name} {len(payload)}\0".encode("ascii")
-            compressed = zlib.compress(header + payload)
-            target = self._path_for(oid)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic but not fsynced, matching git's loose-object durability:
-            # readers never see a torn object, and an object lost to a power
-            # cut before the OS flush is one fsck finds (the ref pointing at
-            # it is only durable once state.json — which *is* fsynced —
-            # lands).
-            atomicio.atomic_write_bytes(target, compressed, failpoint="storage.write")
-            self._known.add(oid)
-            self.mutation_counter += 1
-            return True
-
-    def _load(self, oid: str) -> tuple[str, bytes]:
-        path = self._path_for(oid)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            raise KeyError(oid) from None
-        try:
-            decompressed = zlib.decompress(raw)
-        except zlib.error as exc:
-            raise CorruptObjectError(oid, f"zlib decompression failed: {exc}") from exc
-        header, separator, payload = decompressed.partition(b"\0")
-        if not separator:
-            raise CorruptObjectError(oid, "missing object header")
-        try:
-            type_name, size_text = header.decode("ascii").split(" ", 1)
-            declared_size = int(size_text)
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise CorruptObjectError(oid, f"malformed object header {header!r}") from exc
-        if declared_size != len(payload):
-            raise CorruptObjectError(
-                oid, f"header declares {declared_size} payload bytes, file holds {len(payload)}"
-            )
-        if object_id(type_name, payload) != oid:
-            raise CorruptObjectError(oid, "payload does not hash to the file's oid")
-        return type_name, payload
-
-    def read(self, oid: str) -> tuple[str, bytes]:
-        if oid not in self._known:
-            raise KeyError(oid)
-        return self._load(oid)
-
-    def _probe_header(self, oid: str) -> bytes:
-        """The first decompressed bytes of an object file (header probe).
-
-        Trusts the header without re-hashing — corruption is still caught by
-        the verifying full read path.  Raises :class:`KeyError` for unknown
-        or unreadable oids, like the other read methods.
-        """
-        if oid not in self._known:
-            raise KeyError(oid)
-        path = self._path_for(oid)
-        try:
-            with path.open("rb") as handle:
-                probe = handle.read(_HEADER_PROBE_BYTES)
-        except OSError:
-            raise KeyError(oid) from None
-        decompressor = zlib.decompressobj()
-        try:
-            return decompressor.decompress(probe, _HEADER_PROBE_BYTES)
-        except zlib.error as exc:
-            raise CorruptObjectError(oid, f"zlib decompression failed: {exc}") from exc
-
-    def read_type(self, oid: str) -> str:
-        header = self._probe_header(oid)
-        type_name, separator, _ = header.partition(b" ")
-        if not separator:
-            # Header did not fit in the probe (never happens for real types).
-            return self._load(oid)[0]
-        return type_name.decode("ascii")
-
-    def read_size(self, oid: str) -> int:
-        """The size the object header declares — no full decompression."""
-        header = self._probe_header(oid)
-        head, separator, _ = header.partition(b"\0")
-        if not separator:
-            return len(self._load(oid)[1])
-        try:
-            return int(head.decode("ascii").rsplit(" ", 1)[1])
-        except (UnicodeDecodeError, IndexError, ValueError) as exc:
-            raise CorruptObjectError(oid, f"malformed object header {head!r}") from exc
-
-    def __contains__(self, oid: str) -> bool:
-        return oid in self._known
-
-    def __len__(self) -> int:
-        return len(self._known)
-
-    def iter_oids(self) -> Iterator[str]:
-        # list() snapshots atomically; sorting the copy cannot race a writer.
-        return iter(sorted(list(self._known)))
-
-    # -- maintenance -------------------------------------------------------
-
-    def _delete(self, oid: str) -> None:
-        with self._write_lock:
-            try:
-                self._path_for(oid).unlink()
-            except OSError:
-                pass
-            self._known.discard(oid)
-
-    def on_disk_bytes(self) -> int:
-        """Total compressed bytes currently stored under the root."""
-        return sum(
-            self._path_for(oid).stat().st_size for oid in list(self._known)
-            if self._path_for(oid).is_file()
-        )
-
-    def stats(self) -> dict:
-        return {
-            "kind": self.kind,
-            "objects": len(self._known),
-            "disk_bytes": self.on_disk_bytes(),
-            "root": str(self.root),
-        }
+    The caller checks that the payload hashes to the file's oid.
+    """
+    try:
+        decompressed = zlib.decompress(raw)
+    except zlib.error as exc:
+        raise ValueError(f"zlib decompression failed: {exc}") from exc
+    header, separator, payload = decompressed.partition(b"\0")
+    if not separator:
+        raise ValueError("missing object header")
+    type_name, _, size_text = header.decode("ascii").partition(" ")
+    if int(size_text) != len(payload):
+        raise ValueError(f"header declares {size_text} payload bytes, file holds {len(payload)}")
+    return type_name, payload

@@ -314,7 +314,6 @@ STORAGE_FAILPOINTS = (
     "pack.repack",
     "state.save",
     "storage.flush",
-    "storage.write",
 )
 
 #: Failpoints on the transfer path (REST wire plus the bundle pipeline).

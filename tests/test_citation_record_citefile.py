@@ -133,5 +133,9 @@ class TestCitationFile:
         with pytest.raises(CitationFileError):
             load_citation_bytes(b"\xff\xfe{}")
 
+    def test_rejects_nesting_too_deep_to_parse(self):
+        with pytest.raises(CitationFileError):
+            load_citation_bytes(b"[" * 200_000 + b"]" * 200_000)
+
     def test_citation_file_path_constant(self):
         assert CITATION_FILE_PATH == "/citation.cite"

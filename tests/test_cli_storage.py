@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from legacy_copies import LEGACY_KINDS, build_reference, copy_legacy
 from repro.errors import CLIError
 from repro.citation.manager import CitationManager
+from repro.hub.durability import recover_working_copy
+from repro.vcs.fsck import fsck_working_copy
 from repro.vcs.workingcopy import STATE_DIR, STATE_FILE, is_working_copy, load_repository, save_repository
 
 
@@ -93,8 +96,8 @@ class TestErrorPaths:
         with pytest.raises(CLIError):
             load_repository(directory)
 
-    def test_tampered_object_fails_integrity_check(self, saved):
-        _, directory = saved
+    def test_tampered_object_fails_integrity_check(self, tmp_path):
+        directory = copy_legacy("memory", tmp_path / "copy")
         state_path = directory / STATE_DIR / STATE_FILE
         state = json.loads(state_path.read_text())
         first_oid = next(iter(state["objects"]))
@@ -108,3 +111,83 @@ class TestErrorPaths:
         _, directory = saved
         loaded = load_repository(directory)
         assert not any(path.startswith("/" + STATE_DIR) for path in loaded.worktree)
+
+
+def _first_record(state):
+    return state["objects"][min(state["objects"])]
+
+
+#: One way each to bend the committed memory fixture's state.json.
+_MALFORMED_STATES = {
+    "record-without-type": lambda state: _first_record(state).pop("type"),
+    "record-is-a-string": lambda state: state["objects"].update({min(state["objects"]): "blob"}),
+    "payload-not-base64": lambda state: _first_record(state).update(payload="%%%"),
+    "unknown-object-type": lambda state: _first_record(state).update(type="widget"),
+    "objects-is-a-list": lambda state: state.update(objects=[]),
+    "name-missing": lambda state: state.pop("name"),
+    "branches-is-a-list": lambda state: state.update(branches=["main"]),
+    "head-on-unknown-branch": lambda state: state.update(head_branch="nowhere"),
+    "branch-names-no-object": lambda state: state["branches"].update(main="0" * 40),
+    "unknown-layout": lambda state: state.update(storage="granite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_STATES))
+def test_malformed_state_file_raises_cli_error(tmp_path, case):
+    directory = copy_legacy("memory", tmp_path / "copy")
+    state_path = directory / STATE_DIR / STATE_FILE
+    state = json.loads(state_path.read_text())
+    _MALFORMED_STATES[case](state)
+    state_path.write_text(json.dumps(state))
+    with pytest.raises(CLIError):
+        load_repository(directory)
+
+
+def test_state_file_that_is_not_an_object_raises_cli_error(tmp_path):
+    directory = copy_legacy("memory", tmp_path / "copy")
+    (directory / STATE_DIR / STATE_FILE).write_text("[]")
+    with pytest.raises(CLIError):
+        load_repository(directory)
+
+
+class TestLegacyWorkingCopies:
+    """Copies written by older releases: embedded ``memory`` and ``loose``."""
+
+    @pytest.mark.parametrize("kind", LEGACY_KINDS)
+    def test_loads_to_the_reference_history(self, tmp_path, kind):
+        reference = build_reference()
+        loaded = load_repository(copy_legacy(kind, tmp_path / "copy"))
+        assert loaded.refs.branches == reference.refs.branches
+        assert loaded.refs.tags == reference.refs.tags
+        assert loaded.refs.head_branch == "main"
+        assert loaded.store.object_ids() == reference.store.object_ids()
+        for branch in ("main", "feature"):
+            assert loaded.snapshot(branch) == reference.snapshot(branch)
+        assert loaded.status().is_clean
+
+    @pytest.mark.parametrize("kind", LEGACY_KINDS)
+    def test_save_converts_to_pack(self, tmp_path, kind):
+        directory = copy_legacy(kind, tmp_path / "copy")
+        assert fsck_working_copy(directory).ok  # verified before conversion
+        repo = load_repository(directory)
+        oids = repo.store.object_ids()
+        save_repository(repo, directory)
+        state = json.loads((directory / STATE_DIR / STATE_FILE).read_text())
+        assert state["storage"] == "pack" and "objects" not in state
+        assert not (directory / STATE_DIR / "objects").exists()
+        reloaded = load_repository(directory)
+        assert reloaded.store.backend.kind == "pack"
+        assert reloaded.store.object_ids() == oids
+        assert reloaded.refs.branches == build_reference().refs.branches
+        assert fsck_working_copy(directory).ok
+
+    @pytest.mark.parametrize("kind", LEGACY_KINDS)
+    def test_serve_recovery_converts(self, tmp_path, kind):
+        directory = copy_legacy(kind, tmp_path / "copy")
+        repo, report = recover_working_copy(directory)
+        assert report.clean
+        assert repo.store.backend.kind == "pack"
+        state = json.loads((directory / STATE_DIR / STATE_FILE).read_text())
+        assert state["storage"] == "pack" and "objects" not in state
+        assert not (directory / STATE_DIR / "objects").exists()
+        assert load_repository(directory).refs.branches == build_reference().refs.branches

@@ -2,7 +2,8 @@
 
 The durability contract of PR 6: a process death at *any* instrumented
 failpoint, at *any* hit of that failpoint, during a realistic operation
-sequence (init, commits, repack, gc, layout migration, bundle receive) must
+sequence (init, a legacy copy's conversion to packs, commits, repack, gc,
+bundle receive) must
 leave the on-disk working copy in a state from which reopening — plus
 ``fsck --repair`` when needed — recovers every previously durable commit,
 branch tip and file byte-for-byte.
@@ -23,6 +24,7 @@ fixed scenario does not produce.
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from legacy_copies import copy_legacy
 from repro import faults
 from repro.faults import SimulatedCrash
 from repro.utils.timeutil import FixedClock, set_clock
@@ -44,12 +47,11 @@ from repro.vcs.transfer import (
     update_refs_from_bundle,
 )
 from repro.vcs.treeops import flatten_tree
-from repro.vcs.workingcopy import (
-    load_repository,
-    reachable_from_refs,
-    save_repository,
-    switch_storage,
-)
+from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository
+
+#: Where each scenario starts: a fresh pack copy, or a committed legacy copy
+#: whose first save converts it to packs.
+START_KINDS = ["pack", "loose", "memory"]
 
 
 @pytest.fixture(autouse=True)
@@ -71,14 +73,21 @@ def _rewind_clock() -> None:
 
 def _steps(kind: str):
     """The scenario: each step loads the working copy, mutates it durably."""
-    other = "loose" if kind == "pack" else "pack"
 
     def init(root: Path) -> None:
+        if kind != "pack":
+            copy_legacy(kind, root)
+            return
         repo = Repository.init("crashdemo", "alice")
         repo.write_file("/a.txt", "alpha\n")
         repo.write_file("/docs/b.txt", "beta\n")
         repo.commit("c0", author_name="alice")
-        save_repository(repo, root, storage=kind)
+        save_repository(repo, root)
+
+    def convert(root: Path) -> None:
+        # A legacy copy's first save moves every object into a pack; on a
+        # pack copy this only rewrites state.json.
+        save_repository(load_repository(root), root, export_files=False)
 
     def commit_more(root: Path) -> None:
         repo = load_repository(root)
@@ -88,11 +97,7 @@ def _steps(kind: str):
         save_repository(repo, root)
 
     def repack(root: Path) -> None:
-        repo = load_repository(root)
-        if repo.store.backend.kind != "pack":
-            switch_storage(repo, root, "pack")
-        repo.store.flush()
-        repo.store.backend.repack()
+        load_repository(root).store.backend.repack()
 
     def commit_and_gc(root: Path) -> None:
         repo = load_repository(root)
@@ -100,10 +105,6 @@ def _steps(kind: str):
         repo.commit("c2", author_name="alice")
         repo.store.gc(reachable_from_refs(repo))
         save_repository(repo, root, export_files=False)
-
-    def migrate(root: Path) -> None:
-        repo = load_repository(root)
-        switch_storage(repo, root, other)
 
     def receive_bundle(root: Path) -> None:
         # An ahead clone pushes one commit back: the bundle path end to end
@@ -119,7 +120,7 @@ def _steps(kind: str):
         update_refs_from_bundle(repo, result.bundle)
         save_repository(repo, root, export_files=False)
 
-    return [init, commit_more, repack, commit_and_gc, migrate, receive_bundle]
+    return [init, convert, commit_more, repack, commit_and_gc, receive_bundle]
 
 
 def _snapshot(root: Path) -> dict:
@@ -173,7 +174,7 @@ def _assert_recovered(recovered, completed: int, checkpoints: list[dict]) -> Non
     )
 
 
-@pytest.mark.parametrize("kind", ["pack", "loose"])
+@pytest.mark.parametrize("kind", START_KINDS)
 def test_crash_sweep_every_failpoint_every_hit(tmp_path, kind):
     steps = _steps(kind)
     expected = _run(tmp_path / "dry", steps)
@@ -211,6 +212,9 @@ def test_crash_sweep_every_failpoint_every_hit(tmp_path, kind):
                 repo.commit("post-crash", author_name="alice")
                 save_repository(repo, root)
                 assert fsck_working_copy(root).ok
+                state = json.loads((root / ".gitcite" / "state.json").read_text())
+                assert state["storage"] == "pack" and "objects" not in state
+                assert not (root / ".gitcite" / "objects").exists()
 
 
 def test_torn_state_write_keeps_previous_state(tmp_path):
@@ -242,7 +246,7 @@ def test_torn_state_write_keeps_previous_state(tmp_path):
 @given(data=st.data())
 def test_crash_sweep_randomised(tmp_path_factory, data):
     """Hypothesis variant: random storage kind, crash site and hit index."""
-    kind = data.draw(st.sampled_from(["pack", "loose"]), label="kind")
+    kind = data.draw(st.sampled_from(START_KINDS), label="kind")
     steps = _steps(kind)
     base = tmp_path_factory.mktemp("sweep")
     faults.reset()

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from legacy_copies import LEGACY_KINDS, copy_legacy
 from repro import faults
 from repro.citation.manager import CitationManager
 from repro.cli.main import main
 from repro.vcs.fsck import fsck_working_copy
 from repro.vcs.repository import Repository
-from repro.vcs.workingcopy import save_repository
+from repro.vcs.workingcopy import load_repository, save_repository
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +30,9 @@ def _clean_faults():
 
 
 def _make_working_copy(root, kind, bad_citation: bool = False):
+    """A pack copy of a small history, or a copy of a committed legacy one."""
+    if kind in LEGACY_KINDS:
+        return load_repository(copy_legacy(kind, root))
     root.mkdir(parents=True, exist_ok=True)
     repo = Repository.init("fscktest", "alice")
     repo.write_file("/a.txt", "alpha\n")
@@ -42,7 +46,7 @@ def _make_working_copy(root, kind, bad_citation: bool = False):
         repo.commit("break the citation file", author_name="alice")
     repo.write_file("/a.txt", "alpha two\n")
     repo.commit("c1", author_name="alice")
-    save_repository(repo, root, storage=kind)
+    save_repository(repo, root)
     return repo
 
 
@@ -306,7 +310,7 @@ def test_citation_walk_parses_shared_history_once(tmp_path, monkeypatch):
     tips = [info.oid for info in repo.log()]
     for number in range(40):
         repo.create_branch(f"topic-{number}", at=tips[number % len(tips)])
-    save_repository(repo, root, storage="pack")
+    save_repository(repo, root)
 
     parses: dict[bytes, int] = {}
     original = fsck_module.deserialize_object

@@ -453,49 +453,54 @@ class TestStorageCorruptionSurfaces:
     masked as a missing file (404 / ``path_exists() is False``)."""
 
     @pytest.fixture
-    def loose_platform(self, tmp_path):
+    def ondisk_platform(self, tmp_path):
         platform = HostingPlatform()
         platform.register_user("alice")
-        repo = Repository.init("ondisk", "alice", storage=f"loose:{tmp_path / 'objects'}")
+        repo = Repository.init("ondisk", "alice", storage=f"pack:{tmp_path / 'pack'}")
         repo.write_file("/data/readme.txt", b"important bytes\n")
         repo.commit("seed", author_name="alice")
+        repo.store.flush()
         platform.host_repository(repo)
-        return platform, repo, tmp_path / "objects"
+        return platform, repo
 
     @staticmethod
-    def _corrupt(objects_root, oid):
-        victim = objects_root / oid[:2] / oid[2:]
-        assert victim.is_file()
-        victim.write_bytes(b"not zlib at all")
+    def _corrupt(repo, oid):
+        """Zero the compressed body of ``oid``'s pack record in place."""
+        pack, offset = repo.store.backend._packed_lookup(oid)
+        data = bytearray(pack.path.read_bytes())
+        newline = data.index(b"\n", offset)
+        size = int(data[offset:newline].split(b" ")[3])
+        data[newline + 1:newline + 1 + size] = bytes(size)
+        pack.path.write_bytes(bytes(data))
 
-    def test_corrupt_blob_propagates_from_get_file(self, loose_platform):
-        platform, repo, objects_root = loose_platform
+    def test_corrupt_blob_propagates_from_get_file(self, ondisk_platform):
+        platform, repo = ondisk_platform
         blob_oid = repo.blob_oid_at("HEAD", "/data/readme.txt")
-        self._corrupt(objects_root, blob_oid)
+        self._corrupt(repo, blob_oid)
         repo.store._cache.clear()  # force the next read to hit the disk
         with pytest.raises(CorruptObjectError):
             platform.get_file("alice/ondisk", "/data/readme.txt")
 
-    def test_corrupt_tree_propagates_from_path_exists(self, loose_platform):
-        platform, repo, objects_root = loose_platform
+    def test_corrupt_tree_propagates_from_path_exists(self, ondisk_platform):
+        platform, repo = ondisk_platform
         tree_oid = repo.tree_oid_of("HEAD")
-        self._corrupt(objects_root, tree_oid)
+        self._corrupt(repo, tree_oid)
         repo.store._cache.clear()
         with pytest.raises(CorruptObjectError):
             platform.path_exists("alice/ondisk", "/data/readme.txt")
 
-    def test_rest_layer_maps_corruption_to_500_not_404(self, loose_platform):
-        platform, repo, objects_root = loose_platform
+    def test_rest_layer_maps_corruption_to_500_not_404(self, ondisk_platform):
+        platform, repo = ondisk_platform
         blob_oid = repo.blob_oid_at("HEAD", "/data/readme.txt")
-        self._corrupt(objects_root, blob_oid)
+        self._corrupt(repo, blob_oid)
         repo.store._cache.clear()
         api = RestApi(platform)
         response = api.get("/repos/alice/ondisk/contents/data/readme.txt")
         assert response.status == 500
         assert "storage" in response.json["message"]
 
-    def test_missing_paths_still_read_as_absent(self, loose_platform):
-        platform, _, _ = loose_platform
+    def test_missing_paths_still_read_as_absent(self, ondisk_platform):
+        platform, _ = ondisk_platform
         with pytest.raises(NotFoundError):
             platform.get_file("alice/ondisk", "/data/nope.txt")
         with pytest.raises(NotFoundError):

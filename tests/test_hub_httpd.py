@@ -103,6 +103,26 @@ class TestServerBasics:
         assert response.status == 400
         assert body["retryable"] is False
 
+    def test_deeply_nested_json_body_is_400_and_the_server_lives_on(self, server):
+        payload = b"[" * 200_000 + b"]" * 200_000
+        connection = HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request(
+                "POST", "/repos/alice/demo/git/upload-pack", body=payload,
+                headers={"Content-Type": "application/json",
+                         "Content-Length": str(len(payload))},
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            connection.request("GET", "/repos/alice/demo/git/refs")
+            follow_up = connection.getresponse()
+            follow_up.read()
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert body["retryable"] is False
+        assert follow_up.status == 200
+
     def test_non_object_json_body_is_422(self, server):
         payload = b'["not", "an", "object"]'
         connection = HTTPConnection(server.host, server.port, timeout=10)

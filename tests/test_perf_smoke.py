@@ -408,7 +408,7 @@ class TestLazyCheckout:
         for i in range(25):
             repo.write_file(f"/lib/f{i}.txt", f"content {i}\n")
         repo.commit("seed")
-        save_repository(clone_repository(repo), tmp_path / "wc", storage="pack")
+        save_repository(clone_repository(repo), tmp_path / "wc")
         reopened = load_repository(tmp_path / "wc")
         assert dict(reopened.worktree) == repo.snapshot()
 

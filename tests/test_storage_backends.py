@@ -1,9 +1,9 @@
 """Tests for the pluggable object-storage subsystem (repro.vcs.storage).
 
-The three backends must be oid-for-oid interchangeable: any object written
-through one layout reads back identically through any other, transfers work
-across heterogeneous backends, persistent layouts survive reopening, and
-``repack()`` is idempotent.  The larger randomised interchangeability sweeps
+The two backends must be oid-for-oid interchangeable: any object written
+through one layout reads back identically through the other, transfers work
+across heterogeneous backends, packs survive reopening, legacy loose copies
+still read back, and ``repack()`` is idempotent.  The larger randomised interchangeability sweeps
 are marked ``slow`` and excluded from the default (tier-1) run.
 """
 
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from legacy_copies import build_reference, copy_legacy, fixture_path
 from repro.errors import (
-    CorruptObjectError,
+    CLIError,
     InvalidObjectError,
     ObjectNotFoundError,
     StorageError,
@@ -29,23 +30,18 @@ from repro.vcs.object_store import ObjectStore
 from repro.vcs.objects import Blob, Commit, Signature, Tag, Tree, TreeEntry
 from repro.vcs.remote import clone_repository, push
 from repro.vcs.repository import Repository
-from repro.vcs.storage import (
-    LooseFileBackend,
-    MemoryBackend,
-    PackBackend,
-    make_backend,
-)
+from repro.vcs.storage import MemoryBackend, PackBackend, make_backend
+from repro.vcs.storage.loose import decode_loose_object, loose_object_files
 from repro.vcs.storage.pack import DeltaWindow, apply_delta, encode_delta
 from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository
 
-BACKEND_KINDS = ("memory", "loose", "pack")
+BACKEND_KINDS = ("memory", "pack")
 
 
 def _new_backend(kind: str, tmp_path, label: str = "store"):
     if kind == "memory":
         return MemoryBackend()
-    root = tmp_path / f"{label}-{kind}"
-    return LooseFileBackend(root) if kind == "loose" else PackBackend(root)
+    return PackBackend(tmp_path / f"{label}-{kind}")
 
 
 #: Fixed timestamp so repeated calls to the object builders are deterministic
@@ -129,9 +125,7 @@ class TestInterchangeability:
             populations[kind] = {
                 oid: backend_store.backend.read(oid) for oid in backend_store.iter_oids()
             }
-        reference = populations["memory"]
-        for kind in ("loose", "pack"):
-            assert populations[kind] == reference
+        assert populations["pack"] == populations["memory"]
 
     @pytest.mark.parametrize("source_kind", BACKEND_KINDS)
     @pytest.mark.parametrize("destination_kind", BACKEND_KINDS)
@@ -149,7 +143,7 @@ class TestInterchangeability:
         assert source.missing_from(destination) == []
 
     def test_copy_validates_before_mutating_across_backends(self, tmp_path):
-        source = ObjectStore(_new_backend("loose", tmp_path, "vsrc"))
+        source = ObjectStore(_new_backend("memory", tmp_path, "vsrc"))
         destination = ObjectStore(_new_backend("pack", tmp_path, "vdst"))
         present = source.put(Blob(b"present"))
         missing = "0" * 40
@@ -186,16 +180,27 @@ class TestInterchangeability:
             kind_store.put_many(objects)
             kind_store.flush()
         oid_sets = {kind: set(s.iter_oids()) for kind, s in stores.items()}
-        assert oid_sets["memory"] == oid_sets["loose"] == oid_sets["pack"]
+        assert oid_sets["memory"] == oid_sets["pack"]
         for oid in sorted(oid_sets["memory"]):
-            reference = stores["memory"].backend.read(oid)
-            assert stores["loose"].backend.read(oid) == reference
-            assert stores["pack"].backend.read(oid) == reference
+            assert stores["pack"].backend.read(oid) == stores["memory"].backend.read(oid)
 
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", ("loose", "pack"))
     def test_reopen_sees_identical_objects(self, tmp_path, kind):
+        """Packs reopen to what was written; the committed loose copy (written
+        by the old loose writer) decodes to its reference objects."""
+        if kind == "loose":
+            reference = build_reference().store
+            objects_root = fixture_path("loose") / ".gitcite" / "objects"
+            decoded = {
+                oid: decode_loose_object(path.read_bytes())
+                for oid, path in loose_object_files(objects_root)
+            }
+            assert sorted(decoded) == reference.object_ids()
+            for oid, record in decoded.items():
+                assert record == reference.backend.read(oid)
+            return
         first = ObjectStore(_new_backend(kind, tmp_path, "reopen"))
         oids = first.put_many(_sample_objects())
         first.close()
@@ -207,26 +212,23 @@ class TestPersistence:
 
     def test_loose_scan_ignores_crash_leftover_tmp_files(self, tmp_path):
         """Regression: stray non-hex files must not become phantom oids."""
-        backend = LooseFileBackend(tmp_path / "leftovers")
-        store = ObjectStore(backend)
-        oid = store.put(Blob(b"real object"))
-        # Simulate a crash between write_bytes and the atomic rename.
-        (backend.root / oid[:2] / f".tmp-{oid[2:]}-12345").write_bytes(b"partial")
-        (backend.root / "no").mkdir()
-        (backend.root / "no" / "t a valid name").write_bytes(b"junk")
-        reopened = ObjectStore(LooseFileBackend(backend.root))
-        assert sorted(reopened.iter_oids()) == [oid]
-        assert reopened.clone().object_ids() == [oid]  # reads every object
+        directory = copy_legacy("loose", tmp_path / "leftovers")
+        objects_root = directory / ".gitcite" / "objects"
+        oid = build_reference().head_oid()
+        # A crash between write_bytes and the atomic rename left a temp file.
+        (objects_root / oid[:2] / f".tmp-{oid[2:]}-12345").write_bytes(b"partial")
+        (objects_root / "no").mkdir()
+        (objects_root / "no" / "t a valid name").write_bytes(b"junk")
+        loaded = load_repository(directory)
+        assert loaded.store.object_ids() == build_reference().store.object_ids()
 
     def test_loose_detects_corruption_on_read(self, tmp_path):
-        backend = LooseFileBackend(tmp_path / "corrupt")
-        store = ObjectStore(backend)
-        oid = store.put(Blob(b"important data"))
-        path = backend.root / oid[:2] / oid[2:]
+        directory = copy_legacy("loose", tmp_path / "corrupt")
+        oid = build_reference().blob_oid_at("HEAD", "/docs/b.txt")
+        path = directory / ".gitcite" / "objects" / oid[:2] / oid[2:]
         path.write_bytes(zlib.compress(b"blob 9\0different"))
-        fresh = ObjectStore(LooseFileBackend(backend.root))
-        with pytest.raises(CorruptObjectError):
-            fresh.get(oid)
+        with pytest.raises(CLIError, match=oid):
+            load_repository(directory)
 
     def test_pack_index_is_rebuilt_when_missing(self, tmp_path):
         backend = PackBackend(tmp_path / "noidx")
@@ -243,14 +245,15 @@ class TestPersistence:
     def test_make_backend_specs(self, tmp_path):
         assert make_backend(None).kind == "memory"
         assert make_backend("memory").kind == "memory"
-        assert make_backend(f"loose:{tmp_path / 'spec'}").kind == "loose"
+        assert make_backend(f"pack:{tmp_path / 'spec'}").kind == "pack"
         assert make_backend("pack", tmp_path / "spec2").kind == "pack"
         existing = MemoryBackend()
         assert make_backend(existing) is existing
         with pytest.raises(StorageError):
-            make_backend("loose")  # no directory
-        with pytest.raises(StorageError):
-            make_backend("granite", tmp_path)
+            make_backend("pack")  # no directory
+        for retired_or_unknown in ("loose", "granite"):
+            with pytest.raises(StorageError):
+                make_backend(retired_or_unknown, tmp_path)
 
 
 class TestPackSpecifics:
@@ -531,7 +534,7 @@ class TestRepositoryIntegration:
         heads = {kind: repo.head_oid() for kind, repo in repos.items()}
         assert len(set(heads.values())) == 1
         snapshots = {kind: repo.snapshot() for kind, repo in repos.items()}
-        assert snapshots["memory"] == snapshots["loose"] == snapshots["pack"]
+        assert snapshots["memory"] == snapshots["pack"]
 
     def test_unknown_ref_on_pack_backend_raises_ref_error(self, tmp_path):
         """Regression: non-hex ref probes must not blow up the fanout lookup."""
@@ -555,7 +558,7 @@ class TestRepositoryIntegration:
         assert origin.read_file_at("HEAD", "/new.txt") == b"new\n"
 
     def test_reachable_from_refs_covers_tags_and_branches(self, tmp_path):
-        repo = self._build(_new_backend("loose", tmp_path, "reach"))
+        repo = self._build(_new_backend("pack", tmp_path, "reach"))
         repo.tag("v1", message="first release")
         keep = reachable_from_refs(repo)
         assert repo.head_oid() in keep
@@ -564,60 +567,54 @@ class TestRepositoryIntegration:
 
 
 class TestWorkingCopyLifecycle:
-    """The acceptance path: loose working copy -> repack -> identical history."""
+    """The acceptance path: legacy working copy -> pack -> identical history."""
 
-    def _working_copy(self, tmp_path, storage: str):
-        directory = tmp_path / f"wc-{storage}"
+    def _working_copy(self, tmp_path):
+        directory = tmp_path / "wc"
         directory.mkdir()
         (directory / "a.txt").write_text("alpha\n")
         (directory / "b.txt").write_text("beta\n")
-        assert cli_main(["init", "-C", str(directory), "--owner", "alice",
-                         "--storage", storage]) == 0
+        assert cli_main(["init", "-C", str(directory), "--owner", "alice"]) == 0
         assert cli_main(["enable", "-C", str(directory), "--title", "Demo"]) == 0
         assert cli_main(["add-cite", "-C", str(directory), "/a.txt",
                          "--title", "Alpha", "--commit"]) == 0
         return directory
 
     def test_loose_repack_preserves_oids_and_citations(self, tmp_path):
-        directory = self._working_copy(tmp_path, "loose")
+        from repro.citation.manager import CitationManager
+
+        directory = copy_legacy("loose", tmp_path / "wc")
         before = load_repository(directory)
         before_oids = before.store.object_ids()
         before_log = [(c.oid, c.summary) for c in before.log()]
+        before_cite = CitationManager(before).cite("/a.txt").citation
         assert cli_main(["storage", "repack", "-C", str(directory)]) == 0
         after = load_repository(directory)
         assert after.store.backend.kind == "pack"
         assert after.store.object_ids() == before_oids
         assert [(c.oid, c.summary) for c in after.log()] == before_log
-        from repro.citation.manager import CitationManager
+        assert CitationManager(after).cite("/a.txt").citation == before_cite
+        assert not (directory / ".gitcite" / "objects").exists()
 
-        manager = CitationManager(after)
-        assert manager.cite("/a.txt").citation.title == "Alpha"
-
-    @pytest.mark.parametrize("source,target", [
-        ("memory", "loose"), ("loose", "pack"), ("pack", "memory"),
-    ])
+    @pytest.mark.parametrize("source,target", [("memory", "pack"), ("loose", "pack")])
     def test_migrate_between_layouts(self, tmp_path, source, target):
-        directory = self._working_copy(tmp_path, source)
+        """A legacy copy's next save moves it to packs, oid for oid."""
+        directory = copy_legacy(source, tmp_path / "wc")
         before = load_repository(directory)
         before_oids = before.store.object_ids()
-        assert cli_main(["storage", "migrate", "-C", str(directory), "--to", target]) == 0
+        save_repository(before, directory)
         after = load_repository(directory)
         assert after.store.backend.kind == target
         assert after.store.object_ids() == before_oids
-        # state.json records the surviving layout (written before the old
-        # layout's directory was deleted — crash-window regression).
         import json as json_module
 
         state = json_module.loads((directory / ".gitcite" / "state.json").read_text())
-        assert state["storage"] == target
-        # The old layout's object directory is gone.
-        leftovers = {p.name for p in (directory / ".gitcite").iterdir()}
-        expected = {"state.json"} | ({"objects"} if target == "loose" else set())
-        expected |= {"pack"} if target == "pack" else set()
-        assert leftovers == expected
+        assert state["storage"] == target and "objects" not in state
+        # The legacy object directory is gone.
+        assert {p.name for p in (directory / ".gitcite").iterdir()} == {"state.json", "pack"}
 
     def test_gc_removes_unreachable_objects(self, tmp_path):
-        directory = self._working_copy(tmp_path, "pack")
+        directory = self._working_copy(tmp_path)
         repo = load_repository(directory)
         orphan = Blob(b"never referenced by any commit")
         repo.store.put(orphan)
@@ -631,30 +628,36 @@ class TestWorkingCopyLifecycle:
     def test_resave_via_other_path_spelling_is_not_destructive(self, simple_repo, tmp_path, monkeypatch):
         """Regression: relative-vs-absolute directory must not self-migrate."""
         directory = tmp_path / "spelling"
-        save_repository(simple_repo, directory, storage="pack")
+        save_repository(simple_repo, directory)
         monkeypatch.chdir(tmp_path)
         loaded = load_repository("spelling")  # backend root is relative
-        save_repository(loaded, directory.resolve(), storage="pack")
+        save_repository(loaded, directory.resolve())
         final = load_repository(directory)
         assert final.store.object_ids() == simple_repo.store.object_ids()
         assert final.head_oid() == simple_repo.head_oid()
 
-    def test_save_respects_requested_storage(self, simple_repo, tmp_path):
+    def test_save_always_writes_pack(self, simple_repo, tmp_path):
         directory = tmp_path / "explicit"
-        save_repository(simple_repo, directory, storage="pack")
+        save_repository(simple_repo, directory)
         assert (directory / ".gitcite" / "pack").is_dir()
+        assert simple_repo.store.backend.kind == "pack"  # the live store moved too
         loaded = load_repository(directory)
         assert loaded.store.backend.kind == "pack"
         assert loaded.head_oid() == simple_repo.head_oid()
 
-    def test_repository_open_classmethod(self, simple_repo, tmp_path):
-        directory = tmp_path / "open"
-        save_repository(simple_repo, directory, storage="loose")
+    @pytest.mark.parametrize("argv", [
+        ["init", "--owner", "alice", "--storage", "pack"],
+        ["storage", "migrate", "--to", "pack"],
+    ])
+    def test_no_layout_options_remain(self, tmp_path, argv):
+        with pytest.raises(SystemExit):
+            cli_main([*argv, "-C", str(tmp_path)])
+
+    def test_repository_open_classmethod(self, tmp_path):
+        directory = copy_legacy("loose", tmp_path / "open")
         opened = Repository.open(directory)
-        assert opened.head_oid() == simple_repo.head_oid()
-        switched = Repository.open(directory, storage="pack")
-        assert switched.store.backend.kind == "pack"
-        assert switched.head_oid() == simple_repo.head_oid()
+        assert opened.head_oid() == build_reference().head_oid()
+        assert opened.store.backend.kind == "memory"  # converted by the next save
 
 
 def test_oid_contract_is_layout_independent():

@@ -563,7 +563,7 @@ class TestGcLeases:
 # Exact-transfer property across backends and divergent rounds
 # ---------------------------------------------------------------------------
 
-_BACKEND_PAIRS = [("memory", "memory"), ("memory", "pack"), ("loose", "memory"), ("pack", "loose")]
+_BACKEND_PAIRS = [("memory", "memory"), ("memory", "pack"), ("pack", "memory"), ("pack", "pack")]
 
 
 def _make_backend_repo(kind, root, name, owner, default_branch="main"):

@@ -139,3 +139,7 @@ class TestCanonicalJson:
     def test_stable_loads_rejects_invalid(self):
         with pytest.raises(ValueError):
             stable_loads("{not json")
+
+    def test_stable_loads_rejects_nesting_too_deep_to_parse(self):
+        with pytest.raises(ValueError):
+            stable_loads("[" * 200_000 + "]" * 200_000)

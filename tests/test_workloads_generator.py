@@ -181,7 +181,7 @@ class TestFleetFaultSchedules:
         # One member of the fleet replayed end to end: generate, persist,
         # arm the member's crash, die mid-save, recover, verify integrity.
         workload = generate_repository(WorkloadConfig(seed=43, num_files=12))
-        save_repository(workload.repo, tmp_path, storage="pack")
+        save_repository(workload.repo, tmp_path)
         before = load_repository(tmp_path).head_oid()
         faults.reset()
         FaultEvent(member=0, failpoint="state.save", action="truncate", at=1, keep=9).arm()
