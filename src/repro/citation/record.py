@@ -154,9 +154,6 @@ class Citation:
             changes["authors"] = tuple(changes["authors"])
         return replace(self, **changes)
 
-    def with_authors(self, authors: list[str] | tuple[str, ...]) -> "Citation":
-        return self.with_changes(authors=tuple(authors))
-
     @property
     def committed_date_string(self) -> str:
         return format_timestamp(self.committed_date)

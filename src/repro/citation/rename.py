@@ -37,10 +37,6 @@ class RenamePropagation:
     moved: dict[str, str] = field(default_factory=dict)
     directory_moves: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def moved_count(self) -> int:
-        return len(self.moved)
-
 
 def _infer_directory_moves(renames: Mapping[str, str]) -> dict[str, str]:
     """Infer directory-level moves implied by a set of file renames.

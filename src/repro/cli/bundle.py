@@ -23,7 +23,7 @@ from repro.vcs.transfer import (
     update_refs_from_bundle,
     verify_bundle,
 )
-from repro.vcs.workingcopy import is_working_copy, load_repository, save_repository
+from repro.vcs.workingcopy import is_working_copy, load_repository, save_checkout
 
 __all__ = ["cmd_bundle_create", "cmd_bundle_verify", "cmd_bundle_unbundle"]
 
@@ -108,6 +108,7 @@ def cmd_bundle_unbundle(args: argparse.Namespace) -> int:
         data = Path(args.file).read_bytes()
     except OSError as exc:
         raise CLIError(f"cannot read bundle file: {exc}") from exc
+    head = repo.head_oid()
     try:
         result = apply_bundle(repo.store, data)
         updated = update_refs_from_bundle(repo, result.bundle, force=args.force)
@@ -115,7 +116,10 @@ def cmd_bundle_unbundle(args: argparse.Namespace) -> int:
         # RemoteError covers both corrupt bundles (BundleError) and
         # non-fast-forward ref rejections — one consistent error shape.
         raise CLIError(f"bundle rejected: {exc}") from exc
-    save_repository(repo, args.directory)
+    if repo.current_branch and repo.head_oid() != head:
+        repo.checkout(repo.current_branch)  # the refs moved bare; check the branch out
+    for path in save_checkout(repo, args.directory, head):
+        _print(f"  kept local changes: {path}")
     moved = ", ".join(f"{name} -> {oid[:7]}" for name, oid in sorted(updated.items()))
     _print(
         f"Unbundled {args.file}: {result.objects_added} new object(s) of "

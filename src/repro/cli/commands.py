@@ -23,7 +23,7 @@ from repro.citation.retro import retrofit
 from repro.formats import render
 from repro.utils.timeutil import now_utc, parse_timestamp
 from repro.vcs.repository import Repository
-from repro.vcs.workingcopy import is_working_copy, load_repository, save_repository
+from repro.vcs.workingcopy import is_working_copy, load_repository, save_checkout, save_repository
 
 __all__ = [
     "cmd_init",
@@ -175,10 +175,12 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_checkout(args: argparse.Namespace) -> int:
-    """Switch to a branch or version (updates the files on disk)."""
+    """Switch to a branch or version (moves the files on disk that differ)."""
     repo, _ = _load(args)
+    files_head = repo.head_oid()
     oid = repo.checkout(args.ref, create_branch=args.create)
-    save_repository(repo, args.directory)
+    for path in save_checkout(repo, args.directory, files_head):
+        _print(f"  kept local changes: {path}")
     _print(f"Checked out {args.ref} at {oid[:7]}")
     return 0
 

@@ -18,6 +18,8 @@ Durability contract (``docs/OPERATIONS.md`` has the operator's view):
 * a ``kill -9`` at any instant loses at most the un-acknowledged work in
   flight — the next ``gitcite serve`` replays the journal onto the last
   checkpoint before accepting the first request;
+* the repository is hosted bare (writes move refs only); the directory's
+  files follow the head branch at startup and shutdown, keeping local edits;
 * SIGTERM and SIGINT both drain: stop accepting, finish in-flight requests
   under ``--drain-timeout``, flush the journal, save the working copy.  If
   the final save fails the process exits non-zero, but nothing is lost —
@@ -42,7 +44,7 @@ from repro.hub.httpd import HubHttpServer
 from repro.hub.lifecycle import GuardedApi, ServingState, drain
 from repro.hub.ratelimit import RateLimiter
 from repro.hub.server import HostingPlatform
-from repro.vcs.workingcopy import save_repository
+from repro.vcs.workingcopy import save_checkout
 
 __all__ = ["cmd_serve", "FAULTS_ENV"]
 
@@ -88,6 +90,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         repo, recovery = recover_working_copy(args.directory)
     except ReproError as exc:
         raise CLIError(f"startup recovery failed: {exc}") from exc
+    files_head = repo.head_oid()  # what the directory's files now hold
 
     limiter = RateLimiter(enabled=not args.no_rate_limit)
     platform = HostingPlatform(rate_limiter=limiter)
@@ -140,6 +143,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{len(recovery.refs_restored)} ref(s)); {len(recovery.repairs)} repair(s)",
             flush=True,
         )
+    if recovery.kept_local:
+        print(f"  kept local changes: {', '.join(recovery.kept_local)}", flush=True)
     if recovery.degraded:
         print(f"  DEGRADED (read-only): {recovery.degraded_reason}", flush=True)
     print("  stop with Ctrl-C or SIGTERM (drains in-flight requests, then saves)",
@@ -171,7 +176,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"  warning: journal flush failed on shutdown: {exc}", flush=True)
     try:
-        save_repository(repo, args.directory)
+        kept = save_checkout(repo, args.directory, files_head)
     except (ReproError, OSError) as exc:
         # The checkpoint failed, but every acknowledged update is still in
         # the journal — the next serve replays it.  Exit non-zero so
@@ -192,5 +197,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except OSError:
             pass  # stale records replay as no-ops on the next serve
     journal.close()
+    if kept:
+        print(f"  kept local changes: {', '.join(kept)}", flush=True)
     print(f"stopped; {slug} saved", flush=True)
     return 0

@@ -22,8 +22,8 @@ the storage layer's crash-atomic writes (PR 6) and the CAS ref transactions
 * :func:`recover_working_copy` — the serve-startup recovery pipeline:
   sweep orphan temp files, fsck the store (``--repair`` semantics:
   quarantine + salvage + index rebuild), load the last checkpoint, replay
-  the journal, and checkpoint the merged state.  If the repair left
-  genuinely unrecoverable objects the hub should come up **read-only
+  the journal, and checkpoint the merged state, files first.  If the repair
+  left genuinely unrecoverable objects the hub should come up **read-only
   degraded** (:attr:`RecoveryReport.degraded`) instead of refusing to
   start — clones of intact history still work; writes answer retryable
   503 until an operator intervenes.
@@ -321,6 +321,8 @@ class RecoveryReport:
     #: Records that would not re-apply (damaged beyond their checksum, or
     #: prerequisites lost with an unrecoverable object).
     failed_records: int = 0
+    #: Paths the checkpoint left alone for local changes (see ``save_checkout``).
+    kept_local: list[str] = field(default_factory=list)
     #: The hub must come up read-only: fsck quarantined reachable history
     #: or journal records failed to re-apply.
     degraded: bool = False
@@ -340,8 +342,10 @@ def recover_working_copy(
 
     Pipeline: sweep orphan temp files → fsck (with repair: quarantine,
     salvage, rebuild indexes) → load the last checkpoint (``state.json`` +
-    object store) → replay the intact journal prefix → checkpoint the
-    merged state and truncate the journal.  Returns ``(repo, report)``.
+    object store, no files) → replay the intact journal prefix →
+    checkpoint: move the directory's files to the head tree, save the
+    merged state and truncate the journal.  Returns ``(repo, report)``;
+    the returned repository is bare (empty worktree and index).
 
     Every step is idempotent, so a crash *during* recovery (including the
     ``serve.recover`` failpoint the chaos suite arms) restarts cleanly:
@@ -350,7 +354,7 @@ def recover_working_copy(
     With ``checkpoint=False`` the journal is left in place (used by
     read-only tooling and tests that want to re-run recovery).
     """
-    from repro.vcs.workingcopy import load_repository, save_repository
+    from repro.vcs.workingcopy import load_bare, save_checkout
     from repro.vcs.fsck import fsck_working_copy
     from repro.vcs.transfer import apply_bundle, update_refs_from_bundle
     from repro.errors import BundleError, RemoteError, VCSError
@@ -375,8 +379,10 @@ def recover_working_copy(
         report.degraded = True
         report.degraded_reason = "store damaged and not fully repaired; serving read-only"
 
-    # 2. Load the last checkpoint (also sweeps state.json's orphan temps).
-    repo = load_repository(root)
+    # 2. Load the last checkpoint (also sweeps state.json's orphan temps),
+    # bare: its files hold the head tree this checkpoint recorded.
+    repo = load_bare(root)
+    files_head = repo.head_oid()
 
     # 3. Replay the journal's intact prefix, in append (= acknowledgement)
     # order.  apply_bundle's all-objects-present fast path and the
@@ -404,14 +410,16 @@ def recover_working_copy(
         report.objects_restored += result.objects_added
         report.refs_restored.update(moved)
 
-    # 4. Checkpoint: persist the merged state, then — and only then —
-    # truncate the journal.  A crash between the two replays the journal
-    # once more onto the new checkpoint, which is a no-op.  A journal whose
+    # 4. Checkpoint: move the files to the head tree, persist the merged
+    # state, then — and only then — truncate the journal.  A crash before
+    # state.json replays the journal onto the old checkpoint and moves the
+    # files again (those already moved count as done); a crash before the
+    # truncate replays it onto the new one, a no-op.  A journal whose
     # records failed their checksum or re-apply is *kept*: it is the only
     # evidence of the damaged acknowledgements, and truncating it would
     # turn a diagnosable loss into a silent one.
     if checkpoint:
-        save_repository(repo, root, export_files=False)
+        report.kept_local = save_checkout(repo, root, files_head)
         if not report.corrupt_record and report.failed_records == 0:
             try:
                 with PushJournal(journal_path(root)) as journal:

@@ -546,7 +546,7 @@ class HttpTransport(ApiVerbs):
         if response.will_close:
             self._drop()
         try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else None
-        except (UnicodeDecodeError, ValueError):
+            parsed = stable_loads(raw) if raw else None
+        except ValueError:  # undecodable UTF-8 and too-deep nesting included
             parsed = None
         return ApiResponse(status=status, json=parsed)

@@ -55,9 +55,6 @@ class AccessToken:
     created_at: datetime
     scopes: tuple[str, ...] = ("repo",)
 
-    def has_scope(self, scope: str) -> bool:
-        return scope in self.scopes
-
 
 @dataclass
 class HostedRepository:

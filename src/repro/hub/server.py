@@ -17,9 +17,9 @@ The platform serves concurrent requests (it sits behind
   login or slug;
 * ref moves (put_file, delete_file, receive_pack's ref update) and their
   journal appends serialise on a per-slug lock, so journal order is ref
-  order.  A contents commit is built from the branch tip's tree, never by
-  a checkout; only an edit of the checked-out branch touches the worktree,
-  and only at the edited path;
+  order.  Hosted repositories are bare: a contents commit is built from
+  the branch tip's tree and a push moves refs, and neither touches a
+  worktree or an index;
 * the expensive part of a push — bundle verification and object install in
   :func:`~repro.vcs.transfer.session.apply_bundle` — deliberately runs
   *outside* any platform lock (the object store tolerates concurrent
@@ -38,7 +38,6 @@ from repro.errors import (
     AuthenticationError,
     BundleChecksumError,
     BundleError,
-    CheckoutError,
     InvalidObjectError,
     InvalidPathError,
     NotFoundError,
@@ -359,11 +358,7 @@ class HostingPlatform:
             raise ValidationError(f"rejected bundle: {exc}") from exc
         except RemoteError as exc:
             raise ValidationError(str(exc)) from exc
-        return {
-            "updated": updated,
-            "objects_in_bundle": result.objects_total,
-            "objects_added": result.objects_added,
-        }
+        return result.report(updated)
 
     # ------------------------------------------------------------------
     # Contents API (what the browser extension uses)
@@ -460,7 +455,7 @@ class HostingPlatform:
 
         Deleting a path that is not a file is a 404; any other refusal
         (unchanged content, a path that is a directory or lies beneath a
-        file, local changes in the checked-out worktree) is a 422.  Storage
+        file) is a 422.  Storage
         corruption propagates, as in :meth:`get_file`.
         """
         hosted = self.get_repository(slug, token=token)
@@ -478,7 +473,7 @@ class HostingPlatform:
             except (StorageError, ObjectNotFoundError, InvalidObjectError):
                 raise
             except (VCSError, InvalidPathError) as exc:
-                if content is None and not isinstance(exc, CheckoutError):
+                if content is None:
                     raise NotFoundError(f"{slug}@{target_branch} has no file {path!r}") from exc
                 raise ValidationError(f"cannot write {path!r} on {slug}@{target_branch}: {exc}") from exc
             self._journal_contents_commit(repo, slug, target_branch, commit_oid)

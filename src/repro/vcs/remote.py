@@ -214,12 +214,7 @@ class LocalRemote(Remote):
 
     def receive_pack(self, bundle_data: bytes, force: bool) -> dict:
         result = apply_bundle(self.repo.store, bundle_data)
-        updated = update_refs_from_bundle(self.repo, result.bundle, force=force)
-        return {
-            "updated": updated,
-            "objects_in_bundle": result.objects_total,
-            "objects_added": result.objects_added,
-        }
+        return result.report(update_refs_from_bundle(self.repo, result.bundle, force=force))
 
     def _identity(self) -> tuple[str, str, str]:
         return self.repo.name, self.repo.owner, self.repo.description

@@ -34,7 +34,7 @@ from repro.vcs.object_store import ObjectStore
 from repro.vcs.storage import BackendSpec
 from repro.vcs.objects import MODE_DIRECTORY, MODE_FILE, Blob, Commit, Signature, Tag
 from repro.vcs.refs import DEFAULT_BRANCH, RefStore
-from repro.vcs.treeops import flatten_files, flatten_tree, lookup_path, subtree_oid
+from repro.vcs.treeops import flatten_files, flatten_tree, lookup_path
 from repro.vcs.worktree_state import WorktreeState
 
 __all__ = ["Repository", "CommitInfo", "PreparedMerge", "MergeOutcome", "WorktreeStatus"]
@@ -128,9 +128,8 @@ class Repository:
         # (checkout / fast-forward merge), so holders of deferred
         # worktree-derived state can discard it instead of flushing it over
         # a different version.  The generation counter lets holders of
-        # *clean* caches detect replacement (or a commit_edit of the
-        # checked-out branch) lazily without registering anything (no
-        # reference pinning).
+        # *clean* caches detect replacement lazily without registering
+        # anything (no reference pinning).
         self._worktree_reload_hooks: list = []
         self._worktree_generation = 0
         self.default_author = Signature(
@@ -556,65 +555,29 @@ class Repository:
                     author_name: str | None = None, timestamp: datetime | None = None) -> str:
         """Commit one file edit (``data=None`` deletes) onto ``branch``; returns its id.
 
-        The tip's tree is edited in a :class:`StagingIndex`, whose subtree
-        cache re-hashes only the edited path's ancestors: a scratch index for
-        a branch that is not checked out (its worktree is left alone), the
-        repository's own index for the checked-out branch, whose worktree
-        then takes the edit at ``path`` alone, as after ``git commit --only``.
-        Staged changes, or local changes at ``path``, raise
-        :class:`CheckoutError` rather than be lost or swept into the commit.
-        No pre-commit hooks run: the worktree is not snapshotted.  The branch
-        moves by compare-and-swap against the tip the edit was built on.  An
-        unchanged tree raises :class:`VCSError`, as in :meth:`commit`.
+        The tip's tree is edited in a scratch :class:`StagingIndex` (only the
+        edited path's ancestors re-hash) and the branch moves by compare-and-swap
+        against that tip.  The worktree and the index are left alone, as in a
+        bare repository, and no pre-commit hooks run.  An unchanged tree raises
+        :class:`VCSError`, as in :meth:`commit`.
         """
         canonical = normalize_path(path)
         parent = self.refs.branch_target(branch)
         parent_tree = self.store.commit_tree(parent)
-        checked_out = self.current_branch == branch
-        index = self.index if checked_out else StagingIndex()
-        if not checked_out or index.write_tree(self.store) != parent_tree:
-            # A fresh scratch index, or ours cleared by a working-copy load:
-            # realign it with the tip unless it stages something the tip lacks.
-            drifted = index.entries()
-            index.read_tree(self.store, parent_tree)
-            if not drifted.items() <= index.entries().items():
-                index.replace(drifted, assume_canonical=True)
-                raise CheckoutError(f"{branch!r} has staged changes; commit them first")
-        tip_entry = index.get(canonical)
-        worktree = self._worktree
-        if checked_out:
-            local = worktree.fingerprint(canonical) if canonical in worktree else None
-            if local != (tip_entry[0] if tip_entry else None):
-                raise CheckoutError(f"{canonical!r} has uncommitted changes on {branch!r}")
-            if data is not None:
-                worktree.check_can_create(canonical, error=CheckoutError)
+        index = StagingIndex()
+        index.read_tree(self.store, parent_tree)
         if data is None:
             index.unstage(canonical)
         else:
             payload = data.encode("utf-8") if isinstance(data, str) else bytes(data)
-            blob_oid = self.store.put(Blob(payload))
-            index.stage(canonical, blob_oid)
+            index.stage(canonical, self.store.put(Blob(payload)))
         tree_oid = index.write_tree(self.store)
         if tree_oid == parent_tree:
             raise VCSError(f"nothing to commit ({canonical!r} is unchanged on {branch!r})")
         author = self.make_signature(author_name, timestamp=timestamp)
         oid = self._write_commit(message, tree_oid, (parent,), author)
-        with self.refs.lock:
-            if not self.refs.compare_and_swap_branch(branch, parent, oid):
-                if checked_out:
-                    index.discard(canonical)
-                    if tip_entry:
-                        index.stage(canonical, *tip_entry)
-                raise RefError(f"branch {branch!r} moved while the edit was being committed")
-            if checked_out:
-                if data is None:
-                    del worktree[canonical]
-                else:
-                    worktree[canonical] = payload
-                    worktree.mark_stored(canonical, blob_oid)
-                # Clean caches of the worktree re-read; deferred state is kept
-                # (a flush over a rewritten file yields to the rewrite).
-                self._worktree_generation += 1
+        if not self.refs.compare_and_swap_branch(branch, parent, oid):
+            raise RefError(f"branch {branch!r} moved while the edit was being committed")
         return oid
 
     def _write_commit(self, message: str, tree_oid: str, parents: tuple[str, ...], author: Signature) -> str:
@@ -711,8 +674,7 @@ class Repository:
 
     @property
     def worktree_generation(self) -> int:
-        """Bumped every time the working tree is replaced wholesale or edited by
-        :meth:`commit_edit`."""
+        """Bumped every time the working tree is replaced wholesale."""
         return self._worktree_generation
 
     def _notify_worktree_reload(self) -> None:
@@ -810,10 +772,6 @@ class Repository:
     def path_exists_at(self, ref: str, path: str) -> bool:
         tree_oid = self.tree_oid_of(ref)
         return lookup_path(self.store, tree_oid, path) is not None
-
-    def subtree_of(self, ref: str, path: str) -> str:
-        """Return the tree id of the directory ``path`` in version ``ref``."""
-        return subtree_oid(self.store, self.tree_oid_of(ref), path)
 
     def diff(self, old_ref: str, new_ref: str, detect_renames: bool = True) -> TreeDiff:
         """Diff two versions of the repository."""

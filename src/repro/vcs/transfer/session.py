@@ -49,6 +49,11 @@ class ApplyResult:
     #: assert this equals the receiver's missing set).
     added_oids: frozenset
 
+    def report(self, updated: dict[str, str]) -> dict:
+        """The receive-pack reply: the refs moved plus this apply's object counts."""
+        return {"updated": updated, "objects_in_bundle": self.objects_total,
+                "objects_added": self.objects_added}
+
 
 def plan_bundle(
     store: ObjectStore,
@@ -218,18 +223,15 @@ def apply_bundle(store: ObjectStore, data) -> ApplyResult:
 _REF_CAS_MAX_ATTEMPTS = 64
 
 
-def update_refs_from_bundle(
-    repo, bundle: Bundle, force: bool = False, branches=None
-) -> dict[str, str]:
+def update_refs_from_bundle(repo, bundle: Bundle, force: bool = False) -> dict[str, str]:
     """Move the receiver's refs to the tips a (already applied) bundle carries.
 
-    Branch updates are fast-forward-only unless ``force``; ``branches``
-    optionally restricts which branch records are honoured.  Tags are only
+    Branch updates are fast-forward-only unless ``force``.  Tags are only
     created, never moved (a conflicting tag raises unless ``force``).  The
     update is all-or-nothing: every move is validated *before* the first ref
     changes, so one rejected branch cannot leave the others half-applied.
-    The working tree is refreshed when the currently checked-out branch
-    moved.  Returns ``{ref name: new oid}`` for everything that changed.
+    Only refs move, as in a bare repository: nothing is checked out.
+    Returns ``{ref name: new oid}`` for everything that changed.
 
     Concurrency: the update is an optimistic compare-and-swap transaction
     against :attr:`~repro.vcs.refs.RefStore.version`.  Validation (ancestry
@@ -256,8 +258,6 @@ def update_refs_from_bundle(
         snapshot = repo.refs.version
         branch_moves: dict[str, str] = {}
         for name, oid in sorted(bundle.branches.items()):
-            if branches is not None and name not in branches:
-                continue
             checked_name(name)
             if oid not in repo.store:
                 raise BundleError(f"bundle names branch {name!r} at {oid}, which was not transferred")
@@ -300,13 +300,6 @@ def update_refs_from_bundle(
                 # A tag sharing a moved branch's name must not clobber the
                 # branch entry in the report (namespaces are separate).
                 updated.setdefault(name, oid)
-            # Refresh the working tree only when the checked-out *branch*
-            # moved — a tag that merely shares its name must not trigger a
-            # checkout (which would silently revert uncommitted edits).
-            # Inside the lock: the worktree install must see exactly the
-            # tips this transaction committed.
-            if repo.current_branch in branch_moves:
-                repo.checkout(repo.current_branch)
         return updated
     raise RemoteError(
         "ref update starved: the ref store kept changing during "

@@ -251,9 +251,3 @@ def subtree_oid(store: ObjectStore, tree_oid: str, path: str) -> str:
     if mode != MODE_DIRECTORY:
         raise VCSError(f"path is a file, not a directory: {path!r}")
     return oid
-
-
-def file_mode_for(data: bytes, executable: bool = False) -> str:
-    """Return the tree-entry mode for a new file (helper for the index)."""
-    del data  # content does not influence the mode in this substrate
-    return "100755" if executable else MODE_FILE

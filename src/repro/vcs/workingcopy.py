@@ -9,7 +9,7 @@ state:
 * ``pack/`` — the object store as delta-compressed pack files, the one
   layout every save writes;
 * the working tree is the directory itself (``.gitcite/`` excluded),
-  imported on load and exported on checkout, so users see and edit normal
+  imported on load and exported on save, so users see and edit normal
   files while the citation machinery keeps its history next to them.
 
 Copies written by older releases may use one of two legacy layouts, which
@@ -43,18 +43,19 @@ from pathlib import Path
 from repro.errors import CLIError, VCSError
 from repro.utils import atomicio
 from repro.utils.jsonutil import pretty_dumps, stable_loads
-from repro.vcs.ignore import IgnoreRules
 from repro.vcs.objects import deserialize_object
 from repro.vcs.repository import Repository
 from repro.vcs.storage import PackBackend
 from repro.vcs.storage.loose import decode_loose_object, loose_object_files
-from repro.vcs.worktree import export_worktree, import_worktree
+from repro.vcs.worktree import checkout_files, export_worktree, import_worktree
 
 __all__ = [
     "STATE_DIR",
     "STATE_FILE",
     "is_working_copy",
     "save_repository",
+    "save_checkout",
+    "load_bare",
     "load_repository",
     "reachable_from_refs",
 ]
@@ -133,6 +134,23 @@ def save_repository(repo: Repository, directory: str | os.PathLike[str],
     return state_path
 
 
+def save_checkout(repo: Repository, directory: str | os.PathLike[str],
+                  files_head: str | None) -> list[str]:
+    """Move ``directory``'s files from ``files_head``'s tree to HEAD's, then save.
+
+    Only the files that differ move (:func:`~repro.vcs.worktree.checkout_files`);
+    the in-memory worktree is not exported.  Files go first and ``state.json``
+    next: after a crash between the two the old refs sit over files the next
+    move counts as done.  Returns the paths kept for local changes.
+    """
+    store = repo.store
+    head = repo.head_oid()
+    kept = checkout_files(store, directory, store.commit_tree(files_head) if files_head else None,
+                          store.commit_tree(head) if head else None)
+    save_repository(repo, directory, export_files=False)
+    return kept
+
+
 def _legacy_objects(root: Path, state: dict, kind: str):
     """``(oid, type, payload)`` for every object a legacy ``kind`` copy holds."""
     if kind == "memory":
@@ -141,6 +159,12 @@ def _legacy_objects(root: Path, state: dict, kind: str):
     else:
         for oid, path in loose_object_files(root / STATE_DIR / _LOOSE_DIR):
             yield (oid, *decode_loose_object(path.read_bytes()))
+
+
+def _oid(value, what: str) -> str:
+    if not (isinstance(value, str) and len(value) == 40 and set(value) <= set("0123456789abcdef")):
+        raise ValueError(f"{what} is not an object id: {value!r}")
+    return value
 
 
 def _repository_from_state(root: Path, state: dict) -> Repository:
@@ -159,27 +183,26 @@ def _repository_from_state(root: Path, state: dict) -> Repository:
             if repo.store.put(deserialize_object(type_name, payload)) != oid:
                 raise CLIError(f"object {oid} failed its integrity check on load")
     for name, oid in state.get("branches", {}).items():
-        repo.refs.set_branch(name, oid)
+        repo.refs.set_branch(name, _oid(oid, f"branch {name!r}"))
     for name, oid in state.get("tags", {}).items():
-        repo.refs.set_tag(name, oid)
+        repo.refs.set_tag(name, _oid(oid, f"tag {name!r}"))
     if state.get("head_branch"):
         repo.refs.attach_head(state["head_branch"])
-    elif state.get("head_oid"):
-        repo.refs.detach_head(state["head_oid"])
-    # The index mirrors HEAD.
-    head = repo.head_oid()
-    if head is not None:
-        repo.index.read_tree(repo.store, repo.store.get_commit(head).tree_oid)
+    elif state.get("head_oid") is not None:
+        repo.refs.detach_head(_oid(state["head_oid"], "head_oid"))
+    if repo.head_oid() is not None:
+        repo.store.commit_tree(repo.head_oid())  # the head must name a stored commit
     return repo
 
 
-def load_repository(directory: str | os.PathLike[str]) -> Repository:
-    """Reconstruct a repository from ``directory``/.gitcite plus the on-disk files.
+def load_bare(directory: str | os.PathLike[str]) -> Repository:
+    """Reconstruct a repository's refs and objects from ``directory``/.gitcite.
 
-    A pack copy opens its pack store; a legacy ``memory`` or ``loose`` copy
-    is read, every object re-hashed, into an in-memory store that the next
-    save converts.  A malformed ``state.json`` or legacy object raises
-    :class:`~repro.errors.CLIError`.
+    The directory's files are not read: the worktree and index stay empty,
+    as in a bare repository.  A pack copy opens its pack store; a legacy
+    ``memory`` or ``loose`` copy is read, every object re-hashed, into an
+    in-memory store that the next save converts.  A malformed ``state.json``
+    or legacy object raises :class:`~repro.errors.CLIError`.
     """
     root = Path(directory)
     state_path = _state_path(root)
@@ -194,12 +217,15 @@ def load_repository(directory: str | os.PathLike[str]) -> Repository:
         state = stable_loads(state_path.read_text(encoding="utf-8"))
         if not isinstance(state, dict):
             raise ValueError("not a JSON object")
-        repo = _repository_from_state(root, state)
+        return _repository_from_state(root, state)
     except (KeyError, TypeError, ValueError, AttributeError, OSError, VCSError) as exc:
         raise CLIError(f"cannot load the working copy from {state_path}: {exc!r}") from exc
 
-    # The working tree is whatever is on disk now.
-    import_worktree(repo, root, ignore=IgnoreRules(), replace=True)
+
+def load_repository(directory: str | os.PathLike[str]) -> Repository:
+    """:func:`load_bare` plus the working tree, which is whatever is on disk now."""
+    repo = load_bare(directory)
+    import_worktree(repo, directory)
     return repo
 
 

@@ -7,8 +7,8 @@ project on the user's machine.  These helpers bridge the in-memory
 * :func:`export_worktree` writes the current working tree to a directory;
 * :func:`import_worktree` replaces the working tree with a directory's
   content (honouring ignore rules);
-* :func:`export_snapshot` writes an arbitrary committed version to a
-  directory without touching the working tree.
+* :func:`checkout_files` moves a directory's files from one committed tree
+  to another (checkout, unbundle and a served hub's checkpoints).
 """
 
 from __future__ import annotations
@@ -17,11 +17,15 @@ import os
 from pathlib import Path
 
 from repro.errors import VCSError
+from repro.utils import atomicio
 from repro.utils.paths import normalize_path
+from repro.vcs.diff import diff_trees
 from repro.vcs.ignore import IgnoreRules
+from repro.vcs.object_store import ObjectStore
+from repro.vcs.objects import Blob
 from repro.vcs.repository import Repository
 
-__all__ = ["export_worktree", "import_worktree", "export_snapshot"]
+__all__ = ["export_worktree", "import_worktree", "checkout_files"]
 
 
 def _target_path(root: Path, repo_path: str) -> Path:
@@ -48,66 +52,85 @@ def export_worktree(repo: Repository, destination: str | os.PathLike[str]) -> li
     return written
 
 
-def export_snapshot(
-    repo: Repository, ref: str, destination: str | os.PathLike[str]
+def checkout_files(
+    store: ObjectStore,
+    destination: str | os.PathLike[str],
+    old_tree: str | None,
+    new_tree: str | None,
 ) -> list[str]:
-    """Write the files of version ``ref`` under ``destination``."""
+    """Move the files under ``destination`` from tree ``old_tree`` to ``new_tree``.
+
+    Only paths :func:`~repro.vcs.diff.diff_trees` reports are touched: files
+    are written crash-atomically and durably, and deletions also remove the
+    directories they empty.  A path already at ``new_tree``'s bytes is done,
+    so a repeated move converges.  One whose disk state is neither tree's (a
+    local edit, or an untracked file in the way) is left alone and returned,
+    sorted.  ``None`` is the empty tree.
+    """
     root = Path(destination)
-    root.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-    for repo_path, data in sorted(repo.snapshot(ref).items()):
-        target = _target_path(root, repo_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
-        written.append(repo_path)
-    return written
+    kept: list[str] = []
+    if old_tree == new_tree:
+        return kept
+    unlinked: set[Path] = set()
+    entries = diff_trees(store, old_tree, new_tree, detect_renames=False).entries
+    # Deletions first: a file may replace a directory they leave empty.
+    for entry in sorted(entries, key=lambda entry: entry.new_oid is not None):
+        target = _target_path(root, entry.path)
+        try:
+            on_disk = Blob(target.read_bytes()).oid
+        except (FileNotFoundError, NotADirectoryError):
+            on_disk = None
+        except IsADirectoryError:
+            on_disk = "directory"  # equals no blob oid
+        if on_disk == entry.new_oid:
+            continue
+        if on_disk != entry.old_oid:
+            kept.append(entry.path)
+        elif entry.new_oid is None:
+            target.unlink()
+            parent = target.parent
+            while parent != root and not any(parent.iterdir()):
+                parent.rmdir()
+                parent = parent.parent
+            unlinked.add(parent)
+        else:
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):
+                kept.append(entry.path)  # a local file sits where a directory must go
+                continue
+            atomicio.atomic_write_bytes(target, store.get_blob(entry.new_oid).data, durable=True)
+    for directory in unlinked:
+        atomicio.fsync_directory(directory)
+    return sorted(kept)
 
 
-def import_worktree(
-    repo: Repository,
-    source: str | os.PathLike[str],
-    ignore: IgnoreRules | None = None,
-    replace: bool = True,
-) -> list[str]:
-    """Load a directory tree from disk into the repository's working tree.
+def import_worktree(repo: Repository, source: str | os.PathLike[str]) -> list[str]:
+    """Replace the repository's working tree with a directory's files.
 
-    With ``replace=True`` (the default) the working tree is cleared first so
-    files deleted on disk disappear from the next commit.  Returns the list of
-    repository paths imported.
+    The working tree and the index are cleared first, so files deleted on
+    disk disappear from the next commit; the default ignore rules apply.
+    Returns the sorted repository paths imported.
     """
     root = Path(source)
     if not root.is_dir():
         raise VCSError(f"not a directory: {root}")
-    rules = ignore or IgnoreRules()
-    if replace:
-        repo.worktree.clear()
-        repo.index.clear()
-        # A wholesale replacement, exactly like a checkout: holders of
-        # deferred worktree-derived state must discard it, not flush it.
-        repo._notify_worktree_reload()
+    rules = IgnoreRules()
+    repo.worktree.clear()
+    repo.index.clear()
+    # A wholesale replacement, exactly like a checkout: holders of
+    # deferred worktree-derived state must discard it, not flush it.
+    repo._notify_worktree_reload()
     collected: dict[str, bytes] = {}
     for dirpath, dirnames, filenames in os.walk(root):
-        current = Path(dirpath)
-        relative_dir = "/" + current.relative_to(root).as_posix() if current != root else "/"
-        if relative_dir == "/.":
-            relative_dir = "/"
+        prefix = Path(dirpath).relative_to(root).as_posix()
+        prefix = "" if prefix == "." else "/" + prefix
         # Prune ignored directories in place so os.walk skips them.
-        dirnames[:] = [
-            d
-            for d in sorted(dirnames)
-            if not rules.matches(
-                relative_dir.rstrip("/") + "/" + d if relative_dir != "/" else "/" + d,
-                is_directory=True,
-            )
-        ]
-        for filename in sorted(filenames):
-            repo_path = (
-                relative_dir.rstrip("/") + "/" + filename if relative_dir != "/" else "/" + filename
-            )
-            if rules.matches(repo_path):
-                continue
-            collected[repo_path] = (current / filename).read_bytes()
-    # One batched write: the filesystem already guarantees the imported set
-    # is conflict-free among itself, and write_files() checks it against any
-    # surviving in-memory paths in a single sorted pass.
+        dirnames[:] = [name for name in dirnames
+                       if not rules.matches(f"{prefix}/{name}", is_directory=True)]
+        for name in filenames:
+            if not rules.matches(f"{prefix}/{name}"):
+                collected[f"{prefix}/{name}"] = (Path(dirpath) / name).read_bytes()
+    # One batched write: the filesystem already keeps the imported set free
+    # of file/directory clashes.
     return repo.write_files(collected)

@@ -34,6 +34,7 @@ from repro.citation.record import Citation
 from repro.hub.api import RestApi
 from repro.hub.server import HostingPlatform
 from repro.utils.timeutil import parse_timestamp
+from repro.vcs.remote import clone_repository
 from repro.vcs.repository import Repository
 
 __all__ = [
@@ -331,13 +332,11 @@ def build_extension_scenario() -> ExtensionScenario:
     platform = HostingPlatform()
     platform.register_user("thuwuyinjun", name="Yinjun Wu")
     platform.register_user("reader", name="Outside Researcher")
-    # Host the repositories under their owners' platform logins (the display
-    # names used inside citations stay "Yinjun Wu" / "Chen Li").
-    hosted_repo = demo.citedb
-    hosted_repo.owner = "thuwuyinjun"
-    platform.host_repository(hosted_repo)
-    demo.corecover.owner = "chenlica"
-    platform.host_repository(demo.corecover)
+    # Host clones under their owners' platform logins (the display names used
+    # inside citations stay "Yinjun Wu" / "Chen Li").  A hosted repository is
+    # bare, so the demo's local managers keep repositories of their own.
+    platform.host_repository(clone_repository(demo.citedb, owner="thuwuyinjun"))
+    platform.host_repository(clone_repository(demo.corecover, owner="chenlica"))
     member_token = platform.issue_token("thuwuyinjun").value
     non_member_token = platform.issue_token("reader").value
     return ExtensionScenario(

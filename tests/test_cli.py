@@ -116,6 +116,24 @@ class TestGitLevelCommands:
         assert payload["authorList"] == ["Yanssie"]
         assert (project / "gui_app.py").exists() and (project / "core_change.py").exists()
 
+    def test_checkout_moves_only_the_files_that_differ(self, project, capsys):
+        assert run("checkout", "-C", str(project), "keep", "--create") == 0
+        (project / "extra.txt").write_text("only on keep\n")
+        (project / "README.md").write_text("# proj on keep\n")
+        assert run("commit", "-C", str(project), "-m", "keep work") == 0
+        assert run("checkout", "-C", str(project), "main") == 0
+        assert not (project / "extra.txt").exists()
+        assert (project / "README.md").read_text() == "# proj\n"
+        assert load_repository(project).status().is_clean
+        # A local edit of a file the checkout changes is kept and named.
+        (project / "README.md").write_text("local edit\n")
+        capsys.readouterr()
+        assert run("checkout", "-C", str(project), "keep") == 0
+        assert "kept local changes: /README.md" in capsys.readouterr().out
+        assert (project / "README.md").read_text() == "local edit\n"
+        assert (project / "extra.txt").read_text() == "only on keep\n"
+        assert load_repository(project).status().modified == ("/README.md",)
+
     def test_copy_cite_between_working_copies(self, project, tmp_path, capsys):
         upstream = tmp_path / "upstream"
         upstream.mkdir()
@@ -195,6 +213,23 @@ class TestBundleCommands:
         restored = load_repository(target)
         assert restored.head_oid() == source.head_oid()
         assert restored.read_file("/src/engine.py") == source.read_file("/src/engine.py")
+
+    def test_unbundle_moves_the_checked_out_files(self, project, tmp_path):
+        import shutil
+
+        target = tmp_path / "behind"
+        shutil.copytree(project, target)
+        (project / "README.md").unlink()
+        (project / "new.txt").write_text("from the bundle\n")
+        assert run("commit", "-C", str(project), "-m", "drop readme, add new") == 0
+        bundle_file = tmp_path / "ahead.bundle"
+        assert run("bundle", "create", "-C", str(project), str(bundle_file)) == 0
+        assert run("bundle", "unbundle", "-C", str(target), str(bundle_file)) == 0
+        assert not (target / "README.md").exists()
+        assert (target / "new.txt").read_text() == "from the bundle\n"
+        restored = load_repository(target)
+        assert restored.head_oid() == load_repository(project).head_oid()
+        assert restored.status().is_clean
 
     def test_thin_bundle_with_basis(self, project, tmp_path, capsys):
         base = load_repository(project).head_oid()

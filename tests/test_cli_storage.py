@@ -128,6 +128,10 @@ _MALFORMED_STATES = {
     "branches-is-a-list": lambda state: state.update(branches=["main"]),
     "head-on-unknown-branch": lambda state: state.update(head_branch="nowhere"),
     "branch-names-no-object": lambda state: state["branches"].update(main="0" * 40),
+    "branch-target-not-an-oid": lambda state: state["branches"].update(feature=["x"]),
+    "tag-target-null": lambda state: state.setdefault("tags", {}).update(v1=None),
+    "tag-target-short-hex": lambda state: state.setdefault("tags", {}).update(v1="abc123"),
+    "head-oid-not-an-oid": lambda state: state.update(head_branch=None, head_oid=7),
     "unknown-layout": lambda state: state.update(storage="granite"),
 }
 

@@ -13,7 +13,7 @@ from repro.errors import (
     RateLimitExceededError,
     ValidationError,
 )
-from repro.citation.citefile import CITATION_FILE_PATH, dump_citation_bytes
+from repro.citation.citefile import CITATION_FILE_PATH
 from repro.hub.api import RestApi
 from repro.hub.durability import PushJournal, replay_journal
 from repro.hub.models import Permission
@@ -143,13 +143,13 @@ class TestRepositoryOperations:
         )
         hosted = platform.get_repository("alice/demo")
         assert hosted.repo.head_oid() == oid
-        assert hosted.repo.read_file("/docs/new.md") == b"new\n"
+        assert hosted.repo.read_file_at("main", "/docs/new.md") == b"new\n"
         with pytest.raises(NotFoundError):
             platform.put_file("alice/demo", "/x", b"", message="m", token=alice_token, branch="nope")
 
     def test_delete_file(self, platform, alice_token):
         platform.delete_file("alice/demo", "/docs/guide.md", message="drop", token=alice_token)
-        assert not platform.get_repository("alice/demo").repo.file_exists("/docs/guide.md")
+        assert not platform.get_repository("alice/demo").repo.path_exists_at("main", "/docs/guide.md")
         with pytest.raises(NotFoundError):
             platform.delete_file("alice/demo", "/docs/guide.md", message="again", token=alice_token)
 
@@ -221,62 +221,28 @@ class TestRepositoryOperations:
         assert [entry["path"] for entry in platform.list_tree(slug, ref="topic")] == [
             "/README.md", "/src", "/src/main.py",
         ]
-        assert repo.read_file("/src/util.py") == b"x = 1\n"
-        assert not repo.file_exists("/README.md")
+        assert repo.read_file_at("main", "/src/util.py") == b"x = 1\n"
+        assert not repo.path_exists_at("main", "/README.md")
 
-    def test_contents_commit_to_other_branch_leaves_worktree_alone(self, platform, alice_token):
+    @pytest.mark.parametrize("branch", ["topic", "main"])
+    def test_contents_commit_leaves_the_worktree_alone(self, platform, alice_token, branch):
+        """The hosted repository is bare: a contents commit moves its branch
+        only, the checked-out one included, and never touches the worktree,
+        the index or the worktree generation."""
         repo = platform.get_repository("alice/demo").repo
-        old_tip = repo.create_branch("topic")
-        before = (repo.worktree_generation, repo.current_branch, repo.head_oid())
+        repo.create_branch("topic")
+        old_tip = repo.branches()[branch]
+        repo.write_file("/docs/guide.md", b"local edit\n")
+        before = (repo.worktree_generation, repo.current_branch, dict(repo.worktree),
+                  repo.index.entries())
         oid = platform.put_file(
-            "alice/demo", "/docs/new.md", b"new\n", message="add doc", token=alice_token, branch="topic"
+            "alice/demo", "/docs/new.md", b"new\n", message="add doc", token=alice_token, branch=branch
         )
-        assert (repo.worktree_generation, repo.current_branch, repo.head_oid()) == before
-        assert repo.branches()["topic"] == oid
+        assert (repo.worktree_generation, repo.current_branch, dict(repo.worktree),
+                repo.index.entries()) == before
+        assert repo.branches()[branch] == oid
         diff = repo.diff(old_tip, oid, detect_renames=False)
         assert [(entry.old_path, entry.new_path) for entry in diff.entries] == [(None, "/docs/new.md")]
-
-    def test_contents_commit_to_checked_out_branch_keeps_local_work(
-        self, platform, alice_token, enabled_manager
-    ):
-        """The hub's edit lands in the shared worktree in place: deferred
-        citation state and another path's local edit stay uncommitted, and a
-        path with local changes is refused as a 422."""
-        repo = enabled_manager.repo
-        tip = repo.head_oid()
-        repo.write_file("/notes.txt", b"local\n")
-        citation = enabled_manager.default_root_citation(authors=("Bob Jones",))
-        with enabled_manager.batch():
-            enabled_manager.add_cite("/src/main.py", citation)
-            oid = platform.put_file(
-                "alice/demo", "/docs/new.md", b"new\n", message="add doc", token=alice_token
-            )
-            put = RestApi(platform).request(
-                "PUT", "/repos/alice/demo/contents/notes.txt", token=alice_token,
-                payload={"message": "m", "content": base64.b64encode(b"hub\n").decode("ascii")},
-            )
-            delete = RestApi(platform).request(
-                "DELETE", "/repos/alice/demo/contents/notes.txt", token=alice_token,
-                payload={"message": "m"},
-            )
-        for response in (put, delete):
-            assert (response.status, response.json["retryable"]) == (422, False)
-        assert repo.head_oid() == oid
-        diff = repo.diff(tip, oid, detect_renames=False)
-        assert [(entry.old_path, entry.new_path) for entry in diff.entries] == [(None, "/docs/new.md")]
-        status = repo.status()
-        assert (status.modified, status.untracked) == ((CITATION_FILE_PATH,), ("/notes.txt",))
-        assert enabled_manager.gen_cite("/src/main.py").citation == citation
-
-    def test_checked_out_citation_edit_reaches_the_manager(self, platform, alice_token, enabled_manager):
-        function = enabled_manager.citation_function().copy()
-        citation = enabled_manager.default_root_citation(authors=("Bob Jones",))
-        function.put("/docs/guide.md", citation, is_directory=False)
-        platform.put_file(
-            "alice/demo", CITATION_FILE_PATH, dump_citation_bytes(function), message="cite guide",
-            token=alice_token,
-        )
-        assert enabled_manager.citation_function().get_explicit("/docs/guide.md") == citation
 
     def test_fork_copies_history_to_new_owner(self, platform, bob_token):
         hosted = platform.fork("alice/demo", token=bob_token)
@@ -294,7 +260,7 @@ class TestRepositoryOperations:
         tip = local.commit("local work")
         assert remote.push(local)["updated"] == {"main": tip}
         assert api.take() == {("GET", "git/refs"): 1, ("POST", "git/receive-pack"): 1}
-        assert platform.get_repository("alice/demo").repo.file_exists("/pushed.txt")
+        assert platform.get_repository("alice/demo").repo.path_exists_at("main", "/pushed.txt")
         journal.close()
         assert len(replay_journal(journal.path).records) == 1
 

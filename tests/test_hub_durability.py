@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.errors import RemoteError, TransportError
+from repro.errors import RemoteError, TransportError, VCSError
 from repro.faults import SimulatedCrash
 from repro.hub.api import ApiResponse, RestApi
 from repro.hub.durability import (
@@ -261,6 +261,60 @@ class TestRecovery:
         assert report.clean and report.records_replayed == 1
         assert recovered.read_file_at("main", "b.txt") == b"b\n"
         assert fsck_working_copy(root, repair=False).ok
+
+    def _edit_main_and_crash(self, root: Path) -> str:
+        """Recover, commit a contents edit of the checked-out ``main``, and
+        die without saving; returns the acknowledged commit."""
+        repo, _ = recover_working_copy(root)
+        platform = HostingPlatform()
+        platform.host_repository(repo)
+        token = platform.issue_token("alice").value
+        journal = PushJournal(journal_path(root))
+        platform.attach_journal("alice/proj", journal)
+        oid = platform.put_file("alice/proj", "/README.md", b"hub edit\n", message="edit",
+                                token=token)
+        journal.close()
+        return oid
+
+    def test_double_crash_keeps_an_acknowledged_edit_of_the_head_branch(self, tmp_path):
+        root = _build_served_root(tmp_path)
+        oid = self._edit_main_and_crash(root)
+        recovered, report = recover_working_copy(root)  # then crash again
+        local = load_repository(root)
+        assert local.head_oid() == oid
+        assert (root / "README.md").read_bytes() == b"hub edit\n"
+        assert local.status().is_clean
+        with pytest.raises(VCSError, match="nothing to commit"):
+            local.commit("would revert the acknowledged edit")
+        assert report.records_replayed == 1 and report.kept_local == []
+        assert recovered.worktree.sorted_paths() == []  # hosted bare
+
+    @pytest.mark.parametrize("failpoint", ["state.save", "serve.recover"])
+    def test_crash_inside_the_checkpoint_converges(self, tmp_path, failpoint):
+        root = _build_served_root(tmp_path)
+        oid = self._edit_main_and_crash(root)
+        faults.reset()  # count this start's hits from one
+        with faults.armed(failpoint, "crash"):
+            with pytest.raises(SimulatedCrash):
+                recover_working_copy(root)
+        if failpoint == "state.save":  # files moved, state.json not yet
+            assert (root / "README.md").read_bytes() == b"hub edit\n"
+            assert load_repository(root).head_oid() != oid
+        recovered, report = recover_working_copy(root)
+        assert report.clean and report.records_replayed == 1 and report.kept_local == []
+        local = load_repository(root)
+        assert local.head_oid() == oid and local.status().is_clean
+        assert replay_journal(journal_path(root)).records == []
+
+    def test_checkpoint_keeps_and_reports_a_local_edit(self, tmp_path):
+        root = _build_served_root(tmp_path)
+        oid = self._edit_main_and_crash(root)
+        (root / "README.md").write_text("local edit\n")
+        _, report = recover_working_copy(root)
+        assert report.kept_local == ["/README.md"]
+        local = load_repository(root)
+        assert local.head_oid() == oid and local.status().modified == ("/README.md",)
+        assert (root / "README.md").read_text() == "local edit\n"
 
     def test_journal_append_oserror_becomes_retryable_503(self, tmp_path):
         root = _build_served_root(tmp_path)

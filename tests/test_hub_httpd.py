@@ -123,6 +123,35 @@ class TestServerBasics:
         assert body["retryable"] is False
         assert follow_up.status == 200
 
+    def test_deeply_nested_json_reply_reads_as_no_json(self):
+        """A hostile server's reply nested past the parser's recursion limit
+        is an unparsed body, not a RecursionError in the client."""
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Hostile(BaseHTTPRequestHandler):
+            def do_GET(self):
+                body = b"[" * 200_000
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), Hostile)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            wire = HttpTransport(f"http://127.0.0.1:{stub.server_address[1]}", timeout=10)
+            response = wire.get("/repos/alice/demo/git/refs")
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=10)
+        assert (response.status, response.json) == (200, None)
+
     def test_non_object_json_body_is_422(self, server):
         payload = b'["not", "an", "object"]'
         connection = HTTPConnection(server.host, server.port, timeout=10)

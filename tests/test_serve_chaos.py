@@ -147,6 +147,10 @@ class TestServeChaos:
         assert process.returncode == 0, err
         assert f"stopped; {SLUG} saved" in out
         assert fsck_working_copy(root, repair=False).ok
+        # The served directory's files followed the head branch.
+        final = load_repository(root)
+        assert final.status().is_clean
+        assert dict(final.worktree) == final.snapshot("main")
 
     def test_sigterm_drains_saves_and_resets_the_journal(self, tmp_path):
         root = _build_working_copy(tmp_path)
@@ -168,6 +172,39 @@ class TestServeChaos:
         saved = load_repository(root)
         assert saved.refs.branch_target("main") == tip
         assert saved.read_file_at("main", "graceful.txt") == b"drained\n"
+
+    def test_clean_shutdown_moves_the_served_files_to_the_head_branch(self, tmp_path):
+        """Contents commits move only the hosted refs; the shutdown
+        checkpoint then writes and deletes exactly the files that changed,
+        keeping (and naming) a local edit made to one of them while serving."""
+        root = _build_working_copy(tmp_path)
+        (root / "docs").mkdir()
+        (root / "docs" / "old.md").write_text("old\n")
+        repo = load_repository(root)
+        repo.commit("add docs")
+        save_repository(repo, root)
+        process = _spawn(root)
+        url, token = _read_banner(process)
+        assert url is not None
+        try:
+            wire = HttpTransport(url, timeout=10)
+            contents = f"/repos/{SLUG}/contents"
+            assert wire.delete(f"{contents}/docs/old.md", {"message": "drop"}, token=token).ok
+            for path in ("hub.txt", "README.md"):
+                added = {"message": "put", "content": base64.b64encode(b"hub\n").decode()}
+                assert wire.put(f"{contents}/{path}", added, token=token).ok
+            (root / "README.md").write_text("edited while serving\n")
+        finally:
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=30)
+        assert process.returncode == 0, err
+        assert not (root / "docs").exists()
+        assert (root / "hub.txt").read_bytes() == b"hub\n"
+        assert "kept local changes: /README.md" in out
+        saved = load_repository(root)
+        assert saved.status().modified == ("/README.md",)
+        assert (saved.status().deleted, saved.status().untracked) == ((), ())
+        assert saved.snapshot("main") == {"/README.md": b"hub\n", "/hub.txt": b"hub\n"}
 
     def test_in_process_crash_fault_is_a_hard_exit(self, tmp_path):
         root = _build_working_copy(tmp_path)

@@ -6,7 +6,7 @@ from repro.errors import RemoteError, ValidationError, VCSError
 from repro.vcs.ignore import IgnoreRules
 from repro.vcs.remote import clone_repository, fork_repository, reachable_objects
 from repro.vcs.repository import Repository
-from repro.vcs.worktree import export_snapshot, export_worktree, import_worktree
+from repro.vcs.worktree import checkout_files, export_worktree, import_worktree
 
 
 @pytest.fixture
@@ -61,7 +61,8 @@ class TestPushPull:
         tip = local.commit("feature")
         assert remote.push(local)["updated"] == {"main": tip}
         assert origin.head_oid() == tip
-        assert origin.file_exists("feature.py")
+        assert origin.read_file_at("main", "feature.py") == b"x = 1\n"
+        assert not origin.file_exists("feature.py")  # a push moves refs only
 
     def test_push_rejects_non_fast_forward(self, origin, remote_for):
         remote = remote_for(origin)
@@ -173,12 +174,38 @@ class TestDiskWorktree:
         imported = import_worktree(fresh, target)
         assert all(".gitcite" not in path and not path.endswith(".pyc") for path in imported)
 
-    def test_export_snapshot_of_old_version(self, origin, tmp_path):
-        first = origin.head_oid()
+    def test_checkout_files_writes_a_whole_version(self, origin, tmp_path):
+        first = origin.tree_oid_of("HEAD")
         origin.write_file("src/lib.py", "lib = 2\n")
         origin.commit("bump")
-        export_snapshot(origin, first, tmp_path / "old")
+        assert checkout_files(origin.store, tmp_path / "old", None, first) == []
         assert (tmp_path / "old" / "src" / "lib.py").read_text() == "lib = 1\n"
+        assert (tmp_path / "old" / "README.md").read_text() == "# upstream\n"
+
+    def test_checkout_files_moves_only_the_diff_and_keeps_local_edits(self, origin, tmp_path):
+        target = tmp_path / "copy"
+        old = origin.tree_oid_of("HEAD")
+        checkout_files(origin.store, target, None, old)
+        origin.write_file("src/lib.py", "lib = 2\n")
+        origin.write_file("docs/new.md", "new\n")
+        origin.write_file("README.md", "# changed upstream\n")
+        origin.remove_file("src/lib.py")
+        origin.write_file("src", "src is a file now\n")
+        new = origin.commit("reshape")
+        (target / "README.md").write_text("local edit\n")
+        (target / "untracked.txt").write_text("mine\n")
+        kept = checkout_files(origin.store, target, old, origin.tree_oid_of(new))
+        assert kept == ["/README.md"]
+        assert (target / "README.md").read_text() == "local edit\n"
+        assert (target / "src").read_text() == "src is a file now\n"  # directory emptied, replaced
+        assert (target / "docs" / "new.md").read_text() == "new\n"
+        assert (target / "untracked.txt").read_text() == "mine\n"
+        # Repeating an interrupted move is a no-op; moving back removes the
+        # version's own files and the directories they leave empty.
+        assert checkout_files(origin.store, target, old, origin.tree_oid_of(new)) == ["/README.md"]
+        assert checkout_files(origin.store, target, origin.tree_oid_of(new), old) == ["/README.md"]
+        assert (target / "src" / "lib.py").read_text() == "lib = 1\n"
+        assert not (target / "docs").exists()
 
     def test_import_requires_directory(self, origin, tmp_path):
         with pytest.raises(VCSError):

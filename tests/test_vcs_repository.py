@@ -125,38 +125,21 @@ class TestCommits:
         assert "/untracked.txt" in status.untracked
         assert "/src/app.py" in status.deleted
 
-    def test_commit_edit_on_checked_out_branch_keeps_other_local_edits(self, repo):
+    def test_commit_edit_moves_only_the_branch(self, repo):
         tip = repo.head_oid()
         repo.write_file("README.md", "local edit\n")
-        repo.write_file("notes.txt", "untracked\n")
-        generation = repo.worktree_generation
+        repo.write_file("docs/draft.md", "draft\n")
+        repo.add(["docs/draft.md"])
+        before = (dict(repo.worktree), repo.index.entries(), repo.worktree_generation)
         oid = repo.commit_edit("main", "src/app.py", "app = 2\n", "edit app")
         assert repo.head_oid() == oid
         assert repo.store.get_commit(oid).parent_oids == (tip,)
         assert repo.snapshot(oid) == {"/README.md": b"# demo\n", "/src/app.py": b"app = 2\n"}
-        assert repo.read_file("src/app.py") == b"app = 2\n"
-        assert repo.read_file("README.md") == b"local edit\n"
-        status = repo.status()
-        assert (status.staged, status.modified, status.untracked) == ((), ("/README.md",), ("/notes.txt",))
-        assert repo.worktree_generation == generation + 1
+        assert (dict(repo.worktree), repo.index.entries(), repo.worktree_generation) == before
         repo.commit_edit("main", "src/app.py", None, "drop app")
-        assert not repo.file_exists("src/app.py")
-        assert repo.status().modified == ("/README.md",)
-
-    def test_commit_edit_refuses_to_overwrite_uncommitted_work(self, repo):
-        tip = repo.head_oid()
-        repo.write_file("README.md", "local edit\n")
-        repo.write_file("docs/draft.md", "draft\n")
-        with pytest.raises(CheckoutError):
-            repo.commit_edit("main", "README.md", "hub edit\n", "edit readme")
-        with pytest.raises(CheckoutError):
-            repo.commit_edit("main", "docs", "a file\n", "file over a local directory")
-        repo.add(["docs/draft.md"])
-        with pytest.raises(CheckoutError):
-            repo.commit_edit("main", "src/app.py", "app = 2\n", "edit app")
-        assert repo.head_oid() == tip
-        assert repo.read_file("README.md") == b"local edit\n"
-        assert repo.status().staged == ("/docs/draft.md",)
+        assert repo.snapshot("main") == {"/README.md": b"# demo\n"}
+        with pytest.raises(VCSError):
+            repo.commit_edit("main", "README.md", "# demo\n", "unchanged")
 
 
 class TestBranchesAndCheckout:
