@@ -32,6 +32,10 @@ Rules (see ``docs/ANALYSIS.md`` for the annotation grammar):
 ``docs-consistency``
     Every package is mentioned in ``docs/ARCHITECTURE.md`` and every
     relative markdown link resolves.
+``json-parsing``
+    Raw ``json.loads``/``json.load`` are forbidden outside
+    ``utils/jsonutil.py`` — JSON parses go through ``stable_loads``, which
+    maps too-deep nesting to ``ValueError``.
 
 Entry points: ``gitcite analyze`` (CLI) and :func:`run_analysis`.
 A committed baseline file (``tools/analysis_baseline.json``) lets
@@ -53,6 +57,7 @@ from repro.analysis import (  # noqa: E402  (registration imports)
     durability,
     exceptions,
     failpoints,
+    jsonparse,
     layering,
     locks,
 )
@@ -70,4 +75,5 @@ __all__ = [
     "exceptions",
     "failpoints",
     "docs",
+    "jsonparse",
 ]

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.utils.hashing import sha1_hex
+from repro.utils.jsonutil import stable_loads
 
 __all__ = [
     "Finding",
@@ -232,7 +233,7 @@ def load_baseline(path: Path) -> set[str]:
     """Fingerprints of accepted findings (empty when no baseline exists)."""
     if not path.is_file():
         return set()
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = stable_loads(path.read_text(encoding="utf-8"))
     accepted: set[str] = set()
     for entry in data.get("accepted", []):
         accepted.add(

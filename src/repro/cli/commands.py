@@ -10,7 +10,6 @@ the driver in :mod:`repro.cli.main`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,9 +20,12 @@ from repro.citation.manager import CitationManager
 from repro.citation.record import Citation
 from repro.citation.retro import retrofit
 from repro.formats import render
+from repro.utils.jsonutil import stable_loads
+from repro.utils.paths import normalize_path
 from repro.utils.timeutil import now_utc, parse_timestamp
 from repro.vcs.repository import Repository
 from repro.vcs.workingcopy import is_working_copy, load_repository, save_checkout, save_repository
+from repro.vcs.worktree import remove_files
 
 __all__ = [
     "cmd_init",
@@ -64,7 +66,10 @@ def _save(repo: Repository, args: argparse.Namespace) -> None:
 def _citation_from_args(args: argparse.Namespace, manager: CitationManager) -> Citation:
     """Build a citation record from ``--from-json`` or the individual flags."""
     if getattr(args, "from_json", None):
-        payload = json.loads(Path(args.from_json).read_text(encoding="utf-8"))
+        try:
+            payload = stable_loads(Path(args.from_json).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CLIError(f"{args.from_json} is not valid JSON: {exc}") from exc
         return Citation.from_dict(payload)
     base = manager.default_root_citation()
     overrides = {}
@@ -190,13 +195,14 @@ def cmd_move(args: argparse.Namespace) -> int:
     repo, manager = _load(args)
     if repo.file_exists(args.source):
         manager.move_file(args.source, args.destination)
+        moves = {normalize_path(args.source): normalize_path(args.destination)}
     else:
-        manager.move_directory(args.source, args.destination)
+        moves = manager.move_directory(args.source, args.destination)
     _save(repo, args)
-    # Remove the old on-disk file(s); export only writes the new layout.
-    old = Path(args.directory) / args.source.lstrip("/")
-    if old.is_file():
-        old.unlink()
+    # The export only writes the new layout: remove the moved files' old
+    # copies (not paths the move wrote again) and the directories left
+    # empty.  Untracked files under the source stay where they are.
+    remove_files(args.directory, moves.keys() - set(moves.values()))
     _print(f"Moved {args.source} -> {args.destination} (citations updated)")
     return 0
 

@@ -27,6 +27,7 @@ from typing import Optional
 from repro.errors import CitationError
 from repro.citation.record import Citation
 from repro.extension.client import ExtensionClient
+from repro.utils.jsonutil import stable_loads
 from repro.utils.paths import normalize_path
 
 __all__ = ["PopupView", "PopupSession"]
@@ -174,6 +175,6 @@ class PopupSession:
         if not self._text_box.strip():
             raise CitationError("the citation text box is empty; generate or type a citation first")
         try:
-            return Citation.from_dict(json.loads(self._text_box))
+            return Citation.from_dict(stable_loads(self._text_box))
         except (ValueError, CitationError) as exc:
             raise CitationError(f"the text box does not contain a valid citation: {exc}") from exc

@@ -12,7 +12,10 @@ open at all: fsck must be able to diagnose exactly the stores the normal
 read path rejects.  One sequential tolerant pass per pack re-hashes every
 record (deltas are resolved against a cache of the pack's own full
 records), which is also markedly faster than auditing via per-oid
-random-access reads — the ``fsck_5k`` benchmark pins that gap.
+random-access reads — the ``fsck_5k`` benchmark pins that gap.  Record
+headers, ``.idx`` and ``.midx`` files are parsed by the same codecs the
+backend uses (:mod:`repro.vcs.storage.formats`), so fsck rejects exactly
+the bytes the backend would reject and rebuild.
 
 Checks, in order:
 
@@ -39,26 +42,18 @@ from __future__ import annotations
 
 import base64
 import binascii
-import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import CitationFileError, VCSError
+from repro.errors import CitationFileError, StorageError, VCSError
 from repro.utils import atomicio
 from repro.utils.hashing import object_id
 from repro.utils.jsonutil import stable_loads
 from repro.vcs.objects import deserialize_object
+from repro.vcs.storage import formats
 from repro.vcs.storage.loose import decode_loose_object, loose_object_files
-from repro.vcs.storage.pack import (
-    _INDEX_MAGIC,
-    _MAX_HEADER_BYTES,
-    _MIDX_MAGIC,
-    _MIDX_NAME,
-    _PACK_MAGIC,
-    _PackFile,
-    apply_delta,
-)
+from repro.vcs.storage.pack import apply_delta, write_pack_index
 
 __all__ = ["Finding", "FsckReport", "fsck_working_copy"]
 
@@ -121,6 +116,8 @@ class FsckReport:
 @dataclass
 class _PackScan:
     path: Path
+    #: The pack file's byte size (0 when unreadable).
+    size: int = 0
     #: Verified ``(oid, offset)`` pairs, in record order.
     entries: list[tuple[str, int]] = field(default_factory=list)
     #: ``oid → (type, payload)`` for every record that verified.
@@ -242,41 +239,25 @@ def _scan_one_pack(pack_path: Path, report: FsckReport) -> _PackScan:
         ))
         result.intact = result.structurally_sound = False
         return result
-    if not data.startswith(_PACK_MAGIC):
+    result.size = len(data)
+    if not data.startswith(formats.PACK_MAGIC):
         report.findings.append(Finding(
             "pack", "error", "bad pack magic", path=str(pack_path)
         ))
         result.intact = result.structurally_sound = False
         return result
-    offset = len(_PACK_MAGIC)
+    offset = len(formats.PACK_MAGIC)
     while offset < len(data):
-        newline = data.find(b"\n", offset, offset + _MAX_HEADER_BYTES)
-        if newline < 0:
-            report.findings.append(Finding(
-                "pack", "error", f"unterminated record header at offset {offset}",
-                path=str(pack_path),
-            ))
-            result.intact = result.structurally_sound = False
-            return result
         try:
-            fields = data[offset:newline].decode("ascii").split(" ")
-            kind = fields[0]
-            if kind == "full" and len(fields) == 4:
-                type_name, oid, csize, base_oid = fields[1], fields[2], int(fields[3]), None
-            elif kind == "delta" and len(fields) == 5:
-                type_name, oid, csize, base_oid = fields[1], fields[2], int(fields[3]), fields[4]
-            else:
-                raise ValueError(f"malformed record header {fields!r}")
-            if csize < 0:
-                raise ValueError("negative record size")
-        except (UnicodeDecodeError, ValueError) as exc:
+            kind, type_name, oid, csize, base_oid, body_start = formats.parse_record_header(
+                data, offset, pack_path.name
+            )
+        except StorageError as exc:
             report.findings.append(Finding(
-                "pack", "error", f"unreadable record header at offset {offset}: {exc}",
-                path=str(pack_path),
+                "pack", "error", f"unreadable record header: {exc}", path=str(pack_path),
             ))
             result.intact = result.structurally_sound = False
             return result
-        body_start = newline + 1
         if body_start + csize > len(data):
             report.findings.append(Finding(
                 "pack", "error", f"record {oid} truncated (pack ends mid-body)",
@@ -324,26 +305,14 @@ def _check_idx(scan: _ScanState, report: FsckReport, pack: _PackScan) -> None:
         ))
         return
     try:
-        raw = idx_path.read_bytes()
-        if not raw.startswith(_INDEX_MAGIC):
-            raise ValueError("bad index magic")
-        cursor = len(_INDEX_MAGIC)
-        counts = struct.unpack_from(">256I", raw, cursor)
-        cursor += 256 * 4
-        got: list[tuple[str, int]] = []
-        for _ in range(counts[255]):
-            oid_bytes = raw[cursor:cursor + 20]
-            (entry_offset,) = struct.unpack_from(">Q", raw, cursor + 20)
-            got.append((oid_bytes.hex(), entry_offset))
-            cursor += 28
-        if cursor != len(raw):
-            raise ValueError("trailing bytes after the last index entry")
-    except (ValueError, struct.error) as exc:
+        index = formats.parse_idx(idx_path.read_bytes(), pack.size, idx_path.name)
+    except (OSError, StorageError) as exc:
         report.findings.append(Finding(
             "idx", "error", f"index does not parse: {exc}", path=str(idx_path)
         ))
         scan.wrong_idx.append((idx_path, expected))
         return
+    got = list(zip(index.oids, index.offsets))
     if got != expected:
         report.findings.append(Finding(
             "idx", "error",
@@ -356,47 +325,28 @@ def _check_idx(scan: _ScanState, report: FsckReport, pack: _PackScan) -> None:
 
 def _check_midx(scan: _ScanState, report: FsckReport) -> None:
     root = scan.root / _STATE_DIR / "pack"
-    midx_path = root / _MIDX_NAME
-    pack_names = {pack.path.name for pack in scan.pack_scans}
+    midx_path = root / formats.MIDX_NAME
+    pack_sizes = {pack.path.name: pack.size for pack in scan.pack_scans}
     if not midx_path.is_file():
-        if pack_names:
+        if pack_sizes:
             report.findings.append(Finding(
                 "midx", "warning", "multi-pack index missing (rebuilt on open)",
                 path=str(midx_path),
             ))
         return
     try:
-        raw = midx_path.read_bytes()
-        if not raw.startswith(_MIDX_MAGIC):
-            raise ValueError("bad midx magic")
-        cursor = len(_MIDX_MAGIC)
-        (pack_count,) = struct.unpack_from(">I", raw, cursor)
-        cursor += 4
-        names: list[str] = []
-        for _ in range(pack_count):
-            (name_length,) = struct.unpack_from(">H", raw, cursor)
-            cursor += 2
-            names.append(raw[cursor:cursor + name_length].decode("ascii"))
-            cursor += name_length
-        counts = struct.unpack_from(">256I", raw, cursor)
-        cursor += 256 * 4
-        entries: list[tuple[str, int, int]] = []
-        for _ in range(counts[255]):
-            oid_bytes = raw[cursor:cursor + 20]
-            pack_number, entry_offset = struct.unpack_from(">IQ", raw, cursor + 20)
-            entries.append((oid_bytes.hex(), pack_number, entry_offset))
-            cursor += 32
-        if cursor != len(raw):
-            raise ValueError("trailing bytes after the last midx entry")
-    except (ValueError, struct.error, UnicodeDecodeError) as exc:
-        # An unparseable midx is rejected (and rebuilt) on open, so it is
+        midx = formats.parse_midx(midx_path.read_bytes(), pack_sizes, midx_path.name)
+    except (OSError, StorageError) as exc:
+        # An unparseable midx (a bad fanout, an offset outside its pack, a
+        # pack that is gone) is rejected and rebuilt on open, so it is
         # degradation, not danger — but still worth repairing eagerly.
         report.findings.append(Finding(
             "midx", "warning", f"multi-pack index does not parse: {exc}", path=str(midx_path)
         ))
         scan.midx_needs_rebuild = True
         return
-    if set(names) != pack_names:
+    names = midx.pack_names
+    if len(names) != len(pack_sizes):
         report.findings.append(Finding(
             "midx", "warning", "multi-pack index is stale (pack set changed; rebuilt on open)",
             path=str(midx_path),
@@ -405,23 +355,9 @@ def _check_midx(scan: _ScanState, report: FsckReport) -> None:
         return
     # Names match, so the backend would trust this midx verbatim: its
     # entries must agree exactly with the packs it claims to index.
-    by_pack: dict[str, dict[str, int]] = {
-        pack.path.name: dict(pack.entries) for pack in scan.pack_scans
-    }
-    expected_oids = set()
-    for pack in scan.pack_scans:
-        expected_oids.update(oid for oid, _ in pack.entries)
-    seen = set()
-    for oid, pack_number, entry_offset in entries:
-        if pack_number >= len(names):
-            report.findings.append(Finding(
-                "midx", "error", f"entry {oid} names pack #{pack_number}, which does not exist",
-                oid=oid, path=str(midx_path),
-            ))
-            scan.midx_needs_rebuild = True
-            return
-        offsets = by_pack.get(names[pack_number], {})
-        if offsets.get(oid) != entry_offset:
+    by_pack = {pack.path.name: dict(pack.entries) for pack in scan.pack_scans}
+    for oid, pack_number, entry_offset in zip(midx.oids, midx.pack_numbers, midx.offsets):
+        if by_pack[names[pack_number]].get(oid) != entry_offset:
             report.findings.append(Finding(
                 "midx", "error",
                 f"entry {oid} points at {names[pack_number]}:{entry_offset}, "
@@ -430,8 +366,7 @@ def _check_midx(scan: _ScanState, report: FsckReport) -> None:
             ))
             scan.midx_needs_rebuild = True
             return
-        seen.add(oid)
-    missing = expected_oids - seen
+    missing = {oid for offsets in by_pack.values() for oid in offsets}.difference(midx.oids)
     if missing:
         report.findings.append(Finding(
             "midx", "error",
@@ -685,7 +620,7 @@ def _repair(scan: _ScanState, report: FsckReport) -> list[str]:
             _quarantine(root, idx_path, actions)
         repacked = True
     for idx_path, entries in scan.wrong_idx:
-        _PackFile.write_index(idx_path, entries)
+        write_pack_index(idx_path, entries)
         actions.append(f"rebuilt {idx_path.name} from its pack")
     if salvage or repacked or scan.midx_needs_rebuild:
         # Opening the backend on the cleaned pack set rebuilds the midx;
@@ -697,7 +632,7 @@ def _repair(scan: _ScanState, report: FsckReport) -> list[str]:
         from repro.vcs.storage.pack import PackBackend
 
         if scan.midx_needs_rebuild:
-            midx_path = root / _STATE_DIR / "pack" / _MIDX_NAME
+            midx_path = root / _STATE_DIR / "pack" / formats.MIDX_NAME
             try:
                 midx_path.unlink()
             except OSError:

@@ -14,11 +14,10 @@ file per object.  Each pack ``pack-<digest>.pack`` carries a sidecar
       csize bytes of zlib-compressed data (payload, or a delta against the
       *full* record of <base-oid> in the same pack; delta depth is 1)
 
-``.idx`` layout (the sorted fanout index)::
-
-    b"RIDX1\\n"
-    256 big-endian uint32 cumulative bucket counts (fanout over oid[0:2])
-    per oid, sorted: 20 raw oid bytes + big-endian uint64 record offset
+The record header, the ``.idx`` (a sorted fanout index of ``(oid, record
+offset)``) and the multi-pack ``.midx`` are each encoded and parsed by one
+codec in :mod:`repro.vcs.storage.formats`, which fsck and the bundle
+reader share; this module only moves their bytes to and from disk.
 
 A lookup narrows to the oid's first-byte bucket via the fanout table, then
 bisects inside the bucket — O(log bucket) with no payload touched.  Similar
@@ -30,7 +29,9 @@ that gives up once its literal bytes exceed that acceptance budget, so an
 unrelated base costs a partial scan.  :meth:`repack` rewrites all packs as
 one, re-running delta selection over the full object population; with a
 ``keep`` set it doubles as the garbage collector.  A missing/corrupt ``.idx`` is rebuilt by scanning the
-pack, so the index is a cache, never the source of truth.
+pack, so the index is a cache, never the source of truth: any
+``StorageError`` from its parse (a bad fanout, an offset outside the pack)
+means rebuild, never trust.
 
 Two structures keep the read path flat as packs accumulate between repacks:
 
@@ -62,10 +63,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import struct
 import threading
 import zlib
-from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -73,18 +72,16 @@ from typing import BinaryIO, Iterable, Iterator
 from repro.errors import CorruptObjectError, StorageError
 from repro.utils import atomicio
 from repro.utils.hashing import object_id
+from repro.vcs.storage import formats
 from repro.vcs.storage.base import ObjectBackend
 
-__all__ = ["DeltaWindow", "PackBackend", "apply_delta", "delta_order", "encode_delta"]
+__all__ = [
+    "DeltaWindow", "PackBackend", "apply_delta", "delta_order", "encode_delta",
+    "write_pack_index",
+]
 
-_PACK_MAGIC = b"RPCK1\n"
-_INDEX_MAGIC = b"RIDX1\n"
-_MIDX_MAGIC = b"RMIDX1\n"
-_MIDX_NAME = "multi-pack-index.midx"
 #: Upper bound on simultaneously open pack file handles.
 _DEFAULT_HANDLE_LIMIT = 32
-#: Longest possible record header line, with margin (kind + type + 2 oids).
-_MAX_HEADER_BYTES = 160
 #: How many recently packed blobs are considered as delta bases.
 _DELTA_WINDOW = 8
 #: A delta is kept only when its compressed size beats this fraction of the
@@ -302,13 +299,23 @@ class DeltaWindow:
                     continue
                 delta_compressed = zlib.compress(delta)
                 if len(delta_compressed) < budget:
-                    header = f"delta blob {oid} {len(delta_compressed)} {base_oid}\n"
-                    return header.encode("ascii"), delta_compressed
+                    header = formats.encode_record_header(
+                        "delta", "blob", oid, len(delta_compressed), base_oid
+                    )
+                    return header, delta_compressed
             self._bases.append((oid, payload))
             if len(self._bases) > _DELTA_WINDOW:
                 self._bases.pop(0)
-        header = f"full {type_name} {oid} {len(full_compressed)}\n"
-        return header.encode("ascii"), full_compressed
+        header = formats.encode_record_header("full", type_name, oid, len(full_compressed))
+        return header, full_compressed
+
+
+def write_pack_index(index_path: Path, entries: Iterable[tuple[str, int]]) -> None:
+    """Write the sorted fanout index for one pack's ``(oid, offset)`` entries."""
+    # The idx is a rebuildable cache of its pack, so the write is atomic
+    # (no torn index is ever visible) but not fsynced — losing it to a
+    # power cut costs one pack scan on the next open, not data.
+    atomicio.atomic_write_bytes(index_path, formats.encode_idx(entries), failpoint="pack.idx")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +405,7 @@ class _PackFile:
                 self._load_index()
                 self._indexed = True
                 return
-            except (OSError, ValueError, struct.error):
+            except (OSError, StorageError):
                 pass  # fall through to a rebuild from the pack itself
         self._rebuild_index()
         self._indexed = True
@@ -406,68 +413,31 @@ class _PackFile:
     # -- index (de)serialisation ------------------------------------------
 
     def _load_index(self) -> None:
-        raw = self.index_path.read_bytes()
-        if not raw.startswith(_INDEX_MAGIC):
-            raise ValueError("bad index magic")
-        cursor = len(_INDEX_MAGIC)
-        counts = struct.unpack_from(">256I", raw, cursor)
-        cursor += 256 * 4
-        total = counts[255]
-        self._fanout = [0] + list(counts)
-        oids: list[str] = []
-        offsets: list[int] = []
-        for _ in range(total):
-            oid_bytes = raw[cursor:cursor + 20]
-            (offset,) = struct.unpack_from(">Q", raw, cursor + 20)
-            oids.append(oid_bytes.hex())
-            offsets.append(offset)
-            cursor += 28
-        self._oids = oids
-        self._offsets = offsets
-
-    @staticmethod
-    def write_index(index_path: Path, entries: list[tuple[str, int]]) -> None:
-        """Write the sorted fanout index for ``(oid, offset)`` entries."""
-        entries = sorted(entries)
-        counts = [0] * 256
-        for oid, _ in entries:
-            counts[int(oid[:2], 16)] += 1
-        cumulative = []
-        running = 0
-        for count in counts:
-            running += count
-            cumulative.append(running)
-        blob = bytearray(_INDEX_MAGIC)
-        blob += struct.pack(">256I", *cumulative)
-        for oid, offset in entries:
-            blob += bytes.fromhex(oid)
-            blob += struct.pack(">Q", offset)
-        # The idx is a rebuildable cache of its pack, so the write is atomic
-        # (no torn index is ever visible) but not fsynced — losing it to a
-        # power cut costs one pack scan on the next open, not data.
-        atomicio.atomic_write_bytes(index_path, bytes(blob), failpoint="pack.idx")
+        """The one idx read: parse against the pack's current size."""
+        index = formats.parse_idx(
+            self.index_path.read_bytes(), self.path.stat().st_size, self.index_path
+        )
+        self._oids, self._offsets, self._fanout = index
 
     def _rebuild_index(self) -> None:
         """Recover the index by scanning the pack records sequentially."""
         entries: list[tuple[str, int]] = []
         with self.path.open("rb") as handle:
-            magic = handle.read(len(_PACK_MAGIC))
-            if magic != _PACK_MAGIC:
+            magic = handle.read(len(formats.PACK_MAGIC))
+            if magic != formats.PACK_MAGIC:
                 raise StorageError(f"{self.path} is not a pack file")
             offset = handle.tell()
             while True:
-                chunk = handle.read(_MAX_HEADER_BYTES)
+                chunk = handle.read(formats.MAX_HEADER_BYTES)
                 if not chunk:
                     break
-                newline = chunk.find(b"\n")
-                if newline < 0:
-                    raise StorageError(f"unterminated record header in {self.path}")
-                fields = chunk[:newline].decode("ascii").split(" ")
-                oid, csize = fields[2], int(fields[3])
+                _, _, oid, csize, _, end = formats.parse_record_header(
+                    chunk, 0, self.path, origin=offset
+                )
                 entries.append((oid, offset))
-                offset += newline + 1 + csize
+                offset += end + csize
                 handle.seek(offset)
-        self.write_index(self.index_path, entries)
+        write_pack_index(self.index_path, entries)
         self._load_index()
 
     # -- lookups -----------------------------------------------------------
@@ -487,23 +457,10 @@ class _PackFile:
         return zip(self._oids, self._offsets)
 
     def lookup(self, oid: str) -> int | None:
-        """Record offset of ``oid`` via fanout bucket + bisect, or ``None``.
-
-        Malformed ids (short, non-hex — e.g. an unknown ref name probed via
-        ``__contains__``) are simply absent, never an error.
-        """
-        try:
-            bucket = int(oid[:2], 16)
-        except ValueError:
-            return None
-        if bucket < 0 or len(oid) != 40:
-            return None
+        """Record offset of ``oid`` via fanout bucket + bisect, or ``None``."""
         self._ensure_index()
-        low, high = self._fanout[bucket], self._fanout[bucket + 1]
-        position = bisect_left(self._oids, oid, low, high)
-        if position < high and self._oids[position] == oid:
-            return self._offsets[position]
-        return None
+        position = formats.find(self._oids, self._fanout, oid)
+        return None if position is None else self._offsets[position]
 
     # -- record access -----------------------------------------------------
 
@@ -530,32 +487,23 @@ class _PackFile:
 
     def read_record(self, offset: int) -> tuple[str, str, bytes, str | None]:
         """Return ``(kind, type, data, base oid)`` for the record at ``offset``."""
-        chunk = self._read_at(offset, _MAX_HEADER_BYTES)
-        newline = chunk.find(b"\n")
-        if newline < 0:
-            raise StorageError(f"unterminated record header in {self.path} at {offset}")
-        fields = chunk[:newline].decode("ascii").split(" ")
-        kind, type_name, oid, csize = fields[0], fields[1], fields[2], int(fields[3])
-        base_oid = fields[4] if kind == "delta" else None
-        compressed = chunk[newline + 1:newline + 1 + csize]
+        chunk = self._read_at(offset, formats.MAX_HEADER_BYTES)
+        kind, type_name, oid, csize, base_oid, end = formats.parse_record_header(
+            chunk, 0, self.path, origin=offset
+        )
+        compressed = chunk[end:end + csize]
         if len(compressed) < csize:
-            compressed += self._read_at(
-                offset + newline + 1 + len(compressed), csize - len(compressed)
-            )
+            compressed += self._read_at(offset + end + len(compressed), csize - len(compressed))
         try:
             data = zlib.decompress(compressed)
         except zlib.error as exc:
             raise CorruptObjectError(oid, f"zlib decompression failed: {exc}") from exc
         return kind, type_name, data, base_oid
 
-    def read_header(self, offset: int) -> tuple[str, str, str | None]:
-        """Return ``(kind, type, base oid)`` without decompressing the data."""
-        chunk = self._read_at(offset, _MAX_HEADER_BYTES)
-        newline = chunk.find(b"\n")
-        if newline < 0:
-            raise StorageError(f"unterminated record header in {self.path} at {offset}")
-        fields = chunk[:newline].decode("ascii").split(" ")
-        return fields[0], fields[1], fields[4] if fields[0] == "delta" else None
+    def read_header(self, offset: int) -> tuple[str, str, str, int, str | None, int]:
+        """The record's parsed header at ``offset``, without reading its body."""
+        chunk = self._read_at(offset, formats.MAX_HEADER_BYTES)
+        return formats.parse_record_header(chunk, 0, self.path, origin=offset)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -573,14 +521,8 @@ class _PackFile:
 class _MultiPackIndex:
     """One merged fanout index across every pack of a backend.
 
-    ``multi-pack-index.midx`` layout::
-
-        b"RMIDX1\\n"
-        uint32 pack count
-        per pack: uint16 name length + ascii pack file name
-        256 big-endian uint32 cumulative bucket counts (fanout over oid[0:2])
-        per oid, sorted: 20 raw oid bytes + uint32 pack number + uint64 offset
-
+    ``multi-pack-index.midx`` maps each oid to ``(pack number, record
+    offset)``; its byte layout is :func:`repro.vcs.storage.formats.parse_midx`.
     The recorded pack-name list doubles as the staleness check: packs are
     immutable and digest-named, so the midx is valid exactly when its name
     list matches the backend's current packs (in order).  Duplicated oids
@@ -589,7 +531,7 @@ class _MultiPackIndex:
     """
 
     def __init__(self, root: Path) -> None:
-        self.path = root / _MIDX_NAME
+        self.path = root / formats.MIDX_NAME
         self.pack_names: list[str] = []
         self._oids: list[str] = []
         self._pack_numbers: list[int] = []
@@ -599,45 +541,26 @@ class _MultiPackIndex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def load(cls, root: Path, expected_names: set[str]) -> "_MultiPackIndex | None":
-        """Load a midx covering exactly the pack set ``expected_names``.
+    def load(cls, root: Path, pack_paths: Iterable[Path]) -> "_MultiPackIndex | None":
+        """Load a midx covering exactly the packs at ``pack_paths``.
 
         Pack *order* is whatever the midx recorded (append order — the
-        backend re-orders its pack list to match); a differing name set
-        means packs were added or removed behind the midx, so it is stale
-        and ``None`` is returned for a rebuild.
+        backend re-orders its pack list to match).  ``None`` asks for a
+        rebuild: the midx is missing, does not parse against the packs'
+        sizes, or is stale (a differing name set means packs were added or
+        removed behind it).
         """
         midx = cls(root)
         if not midx.path.is_file():
             return None
         try:
-            raw = midx.path.read_bytes()
-            if not raw.startswith(_MIDX_MAGIC):
-                return None
-            cursor = len(_MIDX_MAGIC)
-            (pack_count,) = struct.unpack_from(">I", raw, cursor)
-            cursor += 4
-            names: list[str] = []
-            for _ in range(pack_count):
-                (name_length,) = struct.unpack_from(">H", raw, cursor)
-                cursor += 2
-                names.append(raw[cursor:cursor + name_length].decode("ascii"))
-                cursor += name_length
-            if set(names) != expected_names or len(names) != len(expected_names):
-                return None
-            counts = struct.unpack_from(">256I", raw, cursor)
-            cursor += 256 * 4
-            midx._fanout = [0] + list(counts)
-            for _ in range(counts[255]):
-                oid_bytes = raw[cursor:cursor + 20]
-                pack_number, offset = struct.unpack_from(">IQ", raw, cursor + 20)
-                midx._oids.append(oid_bytes.hex())
-                midx._pack_numbers.append(pack_number)
-                midx._offsets.append(offset)
-                cursor += 32
-        except (OSError, ValueError, struct.error):
+            sizes = {path.name: path.stat().st_size for path in pack_paths}
+            parsed = formats.parse_midx(midx.path.read_bytes(), sizes, midx.path)
+        except (OSError, StorageError):
             return None
-        midx.pack_names = names
+        if len(parsed.pack_names) != len(sizes):
+            return None
+        midx.pack_names, midx._oids, midx._pack_numbers, midx._offsets, midx._fanout = parsed
         return midx
 
     @classmethod
@@ -645,7 +568,6 @@ class _MultiPackIndex:
         cls,
         root: Path,
         streams: list[tuple[str, Iterable[tuple[str, int]]]],
-        write: bool = True,
     ) -> "_MultiPackIndex":
         """Merge per-pack ``(oid, offset)`` streams into one index.
 
@@ -669,32 +591,14 @@ class _MultiPackIndex:
             midx._oids.append(oid)
             midx._pack_numbers.append(pack_number)
             midx._offsets.append(offset)
-        counts = [0] * 256
-        for oid in midx._oids:
-            counts[int(oid[:2], 16)] += 1
-        running = 0
-        fanout = [0]
-        for count in counts:
-            running += count
-            fanout.append(running)
-        midx._fanout = fanout
-        if write:
-            midx._write()
+        midx._fanout = formats.build_fanout(midx._oids)
+        midx._write()
         return midx
 
     def _write(self) -> None:
-        blob = bytearray(_MIDX_MAGIC)
-        blob += struct.pack(">I", len(self.pack_names))
-        for name in self.pack_names:
-            encoded = name.encode("ascii")
-            blob += struct.pack(">H", len(encoded))
-            blob += encoded
-        blob += struct.pack(">256I", *self._fanout[1:])
-        for oid, pack_number, offset in zip(self._oids, self._pack_numbers, self._offsets):
-            blob += bytes.fromhex(oid)
-            blob += struct.pack(">IQ", pack_number, offset)
+        blob = formats.encode_midx(self.pack_names, self._oids, self._pack_numbers, self._offsets)
         try:
-            atomicio.atomic_write_bytes(self.path, bytes(blob), failpoint="pack.midx")
+            atomicio.atomic_write_bytes(self.path, blob, failpoint="pack.midx")
         except OSError:
             # The midx is a cache; an unwritable one degrades to the
             # in-memory copy for this process and a rebuild next open.
@@ -711,17 +615,10 @@ class _MultiPackIndex:
 
     def lookup(self, oid: str) -> tuple[int, int] | None:
         """``(pack number, record offset)`` for ``oid``, or ``None``."""
-        try:
-            bucket = int(oid[:2], 16)
-        except ValueError:
+        position = formats.find(self._oids, self._fanout, oid)
+        if position is None:
             return None
-        if bucket < 0 or len(oid) != 40:
-            return None
-        low, high = self._fanout[bucket], self._fanout[bucket + 1]
-        position = bisect_left(self._oids, oid, low, high)
-        if position < high and self._oids[position] == oid:
-            return self._pack_numbers[position], self._offsets[position]
-        return None
+        return self._pack_numbers[position], self._offsets[position]
 
     def entries_by_pack(self) -> list[list[tuple[str, int]]]:
         """Per-pack sorted ``(oid, offset)`` lists, one scan over the index
@@ -767,7 +664,7 @@ class PackBackend(ObjectBackend):
             packs.append(_PackFile(pack_path, pool=self._pool, defer_index=use_midx))
         midx: _MultiPackIndex | None = None
         if use_midx:
-            midx = _MultiPackIndex.load(self.root, {pack.path.name for pack in packs})
+            midx = _MultiPackIndex.load(self.root, [pack.path for pack in packs])
             if midx is not None:
                 # The midx's entries are keyed by its own (append-order)
                 # pack numbering; adopt that ordering.
@@ -1005,7 +902,7 @@ class PackBackend(ObjectBackend):
         deltas = DeltaWindow()
         out = atomicio.AtomicFile(pack_path, durable=True, failpoint=failpoint)
         try:
-            out.write(_PACK_MAGIC)
+            out.write(formats.PACK_MAGIC)
             for oid in ordered:
                 header, body = deltas.encode(oid, *fetch(oid))
                 entries.append((oid, out.tell()))
@@ -1014,7 +911,7 @@ class PackBackend(ObjectBackend):
             out.commit()
         finally:
             out.close()
-        _PackFile.write_index(pack_path.with_suffix(".idx"), entries)
+        write_pack_index(pack_path.with_suffix(".idx"), entries)
         return _PackFile(pack_path, pool=self._pool)
 
     def _write_pack(self, objects: dict[str, tuple[str, bytes]]) -> _PackFile:

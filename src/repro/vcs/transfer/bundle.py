@@ -15,6 +15,10 @@ of ``gitcite bundle create``.  Layout::
       "delta <type> <oid> <csize> <base-oid>\\n" + csize bytes of zlib delta
     "checksum <sha1 hex of every preceding byte>\\n"
 
+Record headers are written and parsed by the pack store's one record-header
+codec (:func:`repro.vcs.storage.formats.parse_record_header`), so a bundle
+record and a pack record obey the same grammar.
+
 Similar blobs are delta-compressed by the pack backend's delta selection
 (:class:`repro.vcs.storage.pack.DeltaWindow`: a sliding window of recently
 written full blobs as bases, and the linear-time block-index encoder
@@ -38,8 +42,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro import faults
-from repro.errors import BundleChecksumError, BundleError
+from repro.errors import BundleChecksumError, BundleError, StorageError
 from repro.utils.hashing import object_id
+from repro.vcs.storage.formats import parse_record_header
 from repro.vcs.storage.pack import DeltaWindow, apply_delta, delta_order
 
 __all__ = ["Bundle", "BundleRecord", "BundleWriter", "read_bundle", "write_bundle"]
@@ -265,23 +270,16 @@ def read_bundle(data: bytes) -> Bundle:
 
     records: list[BundleRecord] = []
     for _ in range(object_count):
-        line, cursor = _read_line(body, cursor)
-        fields = line.split(" ")
-        if fields[0] == "full" and len(fields) == 4:
-            kind, type_name, oid, base_oid = fields[0], fields[1], fields[2], None
-        elif fields[0] == "delta" and len(fields) == 5:
-            kind, type_name, oid, base_oid = fields[0], fields[1], fields[2], fields[4]
-        else:
-            raise BundleError(f"malformed object record header: {line!r}")
         try:
-            csize = int(fields[3])
-        except ValueError as exc:
-            raise BundleError(f"malformed object record header: {line!r}") from exc
-        if csize < 0:
-            # A negative size would make the cursor rewind (an infinite-ish
-            # re-parse of the same bytes) and slip past the length check
-            # below via negative slicing.
-            raise BundleError(f"malformed object record header: {line!r}")
+            kind, type_name, oid, csize, base_oid, end = parse_record_header(
+                body, cursor, "bundle"
+            )
+        except StorageError:
+            # The same message as any malformed header line: an unterminated
+            # or non-ASCII line raises its own error from _read_line.
+            line, _ = _read_line(body, cursor)
+            raise BundleError(f"malformed object record header: {line!r}") from None
+        cursor = end
         record_body = body[cursor:cursor + csize]
         if len(record_body) < csize:
             raise BundleError(f"truncated bundle: object {oid} body is incomplete")

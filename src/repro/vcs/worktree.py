@@ -8,7 +8,9 @@ project on the user's machine.  These helpers bridge the in-memory
 * :func:`import_worktree` replaces the working tree with a directory's
   content (honouring ignore rules);
 * :func:`checkout_files` moves a directory's files from one committed tree
-  to another (checkout, unbundle and a served hub's checkpoints).
+  to another (checkout, unbundle and a served hub's checkpoints);
+* :func:`remove_files` deletes given files and the directories they empty
+  (the old side of ``gitcite mv``).
 """
 
 from __future__ import annotations
@@ -25,12 +27,42 @@ from repro.vcs.object_store import ObjectStore
 from repro.vcs.objects import Blob
 from repro.vcs.repository import Repository
 
-__all__ = ["export_worktree", "import_worktree", "checkout_files"]
+__all__ = ["export_worktree", "import_worktree", "checkout_files", "remove_files"]
 
 
 def _target_path(root: Path, repo_path: str) -> Path:
     relative = normalize_path(repo_path)[1:]
     return root / Path(relative)
+
+
+def _unlink_and_prune(root: Path, target: Path) -> Path:
+    """Unlink ``target`` and the directories that leaves empty below ``root``.
+
+    Returns the first directory kept: the one whose entry list changed.
+    """
+    target.unlink()
+    parent = target.parent
+    while parent != root and not any(parent.iterdir()):
+        parent.rmdir()
+        parent = parent.parent
+    return parent
+
+
+def remove_files(destination: str | os.PathLike[str], paths) -> None:
+    """Delete the files at repository ``paths`` and the directories they empty.
+
+    A path already gone is skipped; any other file (an untracked one
+    included) keeps itself and its directories.
+    """
+    root = Path(destination)
+    unlinked: set[Path] = set()
+    for path in paths:
+        try:
+            unlinked.add(_unlink_and_prune(root, _target_path(root, path)))
+        except FileNotFoundError:
+            continue
+    for directory in unlinked:
+        atomicio.fsync_directory(directory)
 
 
 def export_worktree(repo: Repository, destination: str | os.PathLike[str]) -> list[str]:
@@ -87,12 +119,7 @@ def checkout_files(
         if on_disk != entry.old_oid:
             kept.append(entry.path)
         elif entry.new_oid is None:
-            target.unlink()
-            parent = target.parent
-            while parent != root and not any(parent.iterdir()):
-                parent.rmdir()
-                parent = parent.parent
-            unlinked.add(parent)
+            unlinked.add(_unlink_and_prune(root, target))
         else:
             try:
                 target.parent.mkdir(parents=True, exist_ok=True)

@@ -285,6 +285,37 @@ class TestDurability:
 
 
 # ---------------------------------------------------------------------------
+# json-parsing
+# ---------------------------------------------------------------------------
+
+
+class TestJsonParsing:
+    def test_raw_json_loads_is_flagged(self, tmp_path):
+        root = make_project(tmp_path, {
+            "core.py": "import json\n\ndef parse(text):\n    return json.loads(text)\n",
+        })
+        findings = findings_for(root, "json-parsing")
+        assert len(findings) == 1
+        assert findings[0].line == 4
+        assert "json.loads" in findings[0].message
+
+    def test_jsonutil_itself_and_pragma_pass(self, tmp_path):
+        root = make_project(tmp_path, {
+            "utils/jsonutil.py": "import json\n\ndef stable_loads(text):\n"
+                                 "    return json.loads(text)\n",
+            "core.py": "import json\n\ndef own(path):\n"
+                       "    return json.load(path)  # lint: json-loads-ok(written by this process)\n",
+        })
+        assert findings_for(root, "json-parsing") == []
+
+    def test_deeply_nested_baseline_is_a_value_error(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text("[" * 200_000)
+        with pytest.raises(ValueError):
+            load_baseline(baseline)
+
+
+# ---------------------------------------------------------------------------
 # exception-safety
 # ---------------------------------------------------------------------------
 

@@ -164,6 +164,34 @@ class TestGitLevelCommands:
         out = capsys.readouterr().out
         assert "explicitly attached" in out
 
+    def test_mv_directory_leaves_no_old_tree(self, project):
+        pkg = project / "pkg"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "a.py").write_text("a = 1\n")
+        (pkg / "sub" / "b.py").write_text("b = 2\n")
+        assert run("commit", "-C", str(project), "-m", "add pkg") == 0
+        (pkg / "__pycache__").mkdir()
+        (pkg / "__pycache__" / "a.pyc").write_bytes(b"untracked")
+        assert run("mv", "-C", str(project), "pkg", "lib") == 0
+        assert run("commit", "-C", str(project), "-m", "move pkg") == 0
+        repo = load_repository(project)
+        assert repo.status().is_clean
+        assert repo.file_exists("/lib/a.py") and repo.file_exists("/lib/sub/b.py")
+        assert not repo.directory_exists("/pkg")
+        assert (project / "lib" / "sub" / "b.py").read_text() == "b = 2\n"
+        # Only the untracked file survives under the old directory.
+        assert sorted(p.relative_to(pkg).as_posix() for p in pkg.rglob("*")) == [
+            "__pycache__", "__pycache__/a.pyc",
+        ]
+
+    def test_from_json_too_deep_is_a_cli_error(self, project, capsys):
+        for name, text in (("deep.json", "[" * 200_000), ("broken.json", "{")):
+            payload = project.parent / name
+            payload.write_text(text)
+            assert run("add-cite", "-C", str(project), "/README.md",
+                       "--from-json", str(payload)) == 1
+            assert "is not valid JSON" in capsys.readouterr().err
+
     def test_retro_cite_on_plain_history(self, tmp_path, capsys):
         directory = tmp_path / "legacy"
         directory.mkdir()

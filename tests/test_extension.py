@@ -292,6 +292,16 @@ class TestPopupSession:
         popup.press_delete()
         assert popup.select_node("/README.md").text_box == ""
 
+    def test_too_deep_text_box_is_an_invalid_citation(self, hosted):
+        popup = PopupSession(ExtensionClient(hosted["api"]))
+        popup.sign_in(hosted["member"])
+        popup.open_repository(hosted["slug"])
+        popup.select_node("/README.md")
+        for text in ("[" * 200_000, "{"):
+            popup._text_box = text  # what a user typed into the box
+            with pytest.raises(CitationError, match="does not contain a valid citation"):
+                popup.press_add()
+
     def test_cannot_act_without_selecting_a_node(self, hosted):
         popup = PopupSession(ExtensionClient(hosted["api"], token=hosted["member"]))
         with pytest.raises(CitationError):

@@ -11,6 +11,9 @@ recovered is reported as unrecoverable together with the refs it strands.
 
 from __future__ import annotations
 
+import struct
+from datetime import datetime, timezone
+
 import pytest
 
 from legacy_copies import LEGACY_KINDS, copy_legacy
@@ -239,6 +242,84 @@ def test_wrong_midx_entry_is_error_and_rebuilt(tmp_path):
     assert "midx" in _categories(report, "error")
     repaired = fsck_working_copy(root, repair=True)
     assert repaired.ok, [str(f) for f in repaired.findings]
+
+
+def _six_commit_copy(root):
+    """A deterministic 6-commit pack copy (fixed timestamps), saved in two packs."""
+    root.mkdir(parents=True, exist_ok=True)
+    repo = Repository.init("fanout", "alice")
+    for number in range(6):
+        repo.write_file(f"/src/m{number}.py", f"value = {number}\n" * (number + 1))
+        repo.write_file(f"/docs/n{number % 2}.md", f"note {number}\n")
+        repo.commit(f"c{number}", author_name="alice",
+                    timestamp=datetime(2024, 1, 1 + number, tzinfo=timezone.utc))
+        if number in (2, 5):
+            save_repository(repo, root)
+    return repo
+
+
+def _midx_fanout_at(data: bytes) -> int:
+    """Byte offset of the midx fanout table (after magic, count and names)."""
+    cursor = len(b"RMIDX1\n")
+    (count,) = struct.unpack_from(">I", data, cursor)
+    cursor += 4
+    for _ in range(count):
+        (length,) = struct.unpack_from(">H", data, cursor)
+        cursor += 2 + length
+    return cursor
+
+
+def _non_monotone_fanout_flip(data: bytearray) -> None:
+    data[_midx_fanout_at(data) + 100 * 4] ^= 0x80  # slot 100 jumps past 2^31
+
+
+def _monotone_low_bit_fanout_flip(data: bytearray) -> None:
+    table = _midx_fanout_at(data)
+    slots = [0, *struct.unpack_from(">256I", data, table)]
+    for slot in range(1, 256):  # the last slot is the entry count; leave it
+        flipped = slots[slot] ^ 1
+        if slots[slot - 1] <= flipped <= slots[slot + 1]:
+            data[table + (slot - 1) * 4 + 3] ^= 1
+            return
+    raise AssertionError("no slot takes a monotone low-bit flip")
+
+
+def _huge_entry_offset(data: bytearray) -> None:
+    data[_midx_fanout_at(data) + 256 * 4 + 24] ^= 0x80  # first entry's offset >= 2^63
+
+
+@pytest.mark.parametrize("damage", [
+    _non_monotone_fanout_flip, _monotone_low_bit_fanout_flip, _huge_entry_offset,
+])
+@pytest.mark.parametrize("recover", ["fsck", "serve", "open"])
+def test_damaged_midx_table_is_rejected_and_rebuilt(tmp_path, damage, recover):
+    from repro.hub.durability import recover_working_copy
+
+    root = tmp_path / "wc"
+    repo = _six_commit_copy(root)
+    head_files = repo.snapshot("HEAD")
+    pack_dir = root / ".gitcite" / "pack"
+    midx = pack_dir / "multi-pack-index.midx"
+    data = bytearray(midx.read_bytes())
+    damage(data)
+    midx.write_bytes(bytes(data))
+
+    report = fsck_working_copy(root)
+    assert report.ok  # the same severity as an unparseable midx
+    assert "midx" in _categories(report, "warning")
+    if recover == "fsck":
+        repaired = fsck_working_copy(root, repair=True)
+        assert repaired.ok and not _categories(repaired) & {"midx"}
+    elif recover == "serve":
+        recover_working_copy(root)
+    else:
+        reopened = load_repository(root)
+        assert reopened.snapshot("HEAD") == head_files
+    from repro.vcs.storage.formats import parse_midx
+
+    sizes = {pack.name: pack.stat().st_size for pack in _pack_files(root)}
+    assert len(parse_midx(midx.read_bytes(), sizes).pack_names) == len(sizes) == 2
+    assert load_repository(root).snapshot("HEAD") == head_files
 
 
 # ---------------------------------------------------------------------------
