@@ -72,8 +72,8 @@ _IDX_ENTRY = struct.Struct(">20sQ")
 _MIDX_ENTRY = struct.Struct(">20sIQ")
 _COUNT = struct.Struct(">I")
 _NAME_LENGTH = struct.Struct(">H")
-#: The first oid of buckets 1..255, as hex: bucket ``b`` ends where the
-#: first oid at or above ``_BUCKET_STARTS[b]`` begins.
+#: The hex prefix that opens each of buckets 1..255: a sorted table's
+#: bucket ``b`` ends at its first oid at or above the prefix of ``b + 1``.
 _BUCKET_STARTS = [f"{bucket:02x}" for bucket in range(1, 256)]
 
 
