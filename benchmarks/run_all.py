@@ -48,6 +48,7 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.citation.citefile import CITATION_FILE_PATH, load_citation_bytes  # noqa: E402
+from repro.citation.record import Citation  # noqa: E402
 from repro.extension.client import ExtensionClient  # noqa: E402
 from repro.citation.retro import AttributionIndex, FileAttribution  # noqa: E402
 from repro.errors import CorruptObjectError, RemoteError, ValidationError  # noqa: E402
@@ -1199,17 +1200,21 @@ class _RequestCountingApi(ApiVerbs):
         return self.inner.request(method, url, token=token, payload=payload)
 
 
-def bench_extension_repeated_view(num_views: int = 300) -> dict:
+def bench_extension_repeated_view(num_views: int = 300, num_edits: int = 30) -> dict:
     """Repeated extension views over REST: the seed's view vs ``view_node``.
 
     In process over :class:`RestApi`.  The baseline copies the seed's view:
     ``GET /user``, the permission ``GET``, then the contents ``GET`` and a
     parse of ``citation.cite``, on every view.  The optimized side is
-    :meth:`ExtensionClient.view_node`, which memoises the login per token
-    and the parse per blob oid (the contents reply's ``sha``).  After one
-    warm-up view, ``requests_per_view`` counts the requests of the optimized
-    views and ``parses_per_repeated_view`` the parse-cache misses; both are
-    hardware-independent gates (2 and 0 when the caches hold).
+    :meth:`ExtensionClient.view_node`: one ``GET cite``, which the hub
+    answers from its parse cache keyed by blob oid.  After one warm-up view,
+    ``requests_per_view`` counts the requests of the optimized views and
+    ``parses_per_repeated_view`` the parses the hub makes for them.  An edit
+    loop then makes ``num_edits`` AddCite/ModifyCite/DelCite operations on
+    the default branch: ``requests_per_edit`` counts their requests and
+    ``hub_parses_per_edit`` the parses the hub makes, which the write's
+    seeding of the cache keeps at zero.  All four are hardware-independent
+    gates (1, 0, 1 and 0 when the design holds).
     """
     workload = generate_repository(WorkloadConfig(seed=42, num_files=300, citation_density=0.2))
     platform = HostingPlatform(rate_limiter=RateLimiter(enabled=False))
@@ -1236,7 +1241,7 @@ def bench_extension_repeated_view(num_views: int = 300) -> dict:
     client = ExtensionClient(api, token=token)
     client.view_node(slug, probes[0], ref=ref)
     api.requests = 0
-    misses = client._parsed.misses
+    view_parses = platform._parsed.misses
     optimized_results = []
 
     def run_optimized():
@@ -1244,16 +1249,38 @@ def bench_extension_repeated_view(num_views: int = 300) -> dict:
             optimized_results.append(client.view_node(slug, probes[i % len(probes)], ref=ref).resolved)
 
     optimized_s = _timed(run_optimized)
+    view_requests, view_parses = api.requests, platform._parsed.misses - view_parses
+
+    # Edits: each new path is added, then modified, then deleted one step later.
+    expected = load_citation_bytes(workload.repo.read_file_at(ref, CITATION_FILE_PATH))
+    citations = [generate_citation(random.Random(i)) for i in range(num_edits)]
+    api.requests, edit_parses = 0, platform._parsed.misses
+    for i in range(num_edits):
+        path = f"/bench-edits/file-{i // 3}.py"
+        if i % 3 == 0:
+            client.add_citation(slug, path, citations[i], ref=ref)
+            expected.attach(path, Citation.from_dict(citations[i].to_dict()), is_directory=False)
+        elif i % 3 == 1:
+            client.modify_citation(slug, path, citations[i], ref=ref)
+            expected.replace(path, Citation.from_dict(citations[i].to_dict()))
+        else:
+            client.delete_citation(slug, path, ref=ref)
+            expected.detach(path)
+    edit_requests, edit_parses = api.requests, platform._parsed.misses - edit_parses
+    final = load_citation_bytes(workload.repo.read_file_at(ref, CITATION_FILE_PATH))
 
     return {
         "baseline_s": baseline_s,
         "optimized_s": optimized_s,
         "speedup": baseline_s / optimized_s,
-        "outputs_identical": baseline_results == optimized_results,
+        "outputs_identical": baseline_results == optimized_results and final == expected,
         "views": num_views,
+        "edits": num_edits,
         "citation_file_bytes": len(workload.repo.read_file_at(ref, CITATION_FILE_PATH)),
-        "requests_per_view": api.requests / num_views,
-        "parses_per_repeated_view": (client._parsed.misses - misses) / num_views,
+        "requests_per_view": view_requests / num_views,
+        "parses_per_repeated_view": view_parses / num_views,
+        "requests_per_edit": edit_requests / num_edits,
+        "hub_parses_per_edit": edit_parses / num_edits,
     }
 
 

@@ -118,7 +118,8 @@ class ParseCache:
     entry serves every repository and ref holding the same file.  Entries
     are shared instances: callers treat them as read-only and ``copy()``
     before mutating.  ``misses`` counts the parses actually made.  Not
-    thread-safe: each cache belongs to one client or manager.
+    thread-safe: each cache belongs to one client or manager, or sits
+    behind its owner's lock (the hub's).
     """
 
     def __init__(self) -> None:
@@ -133,10 +134,20 @@ class ParseCache:
         if function is None:
             function = load()
             self.misses += 1
-            while len(self._entries) >= _PARSE_CACHE_LIMIT:
-                self._entries.pop(next(iter(self._entries)))
-        self._entries[blob_oid] = function
+        self.put(blob_oid, function)
         return function
+
+    def put(self, blob_oid: str, function: CitationFunction) -> None:
+        """Seed the entry of ``blob_oid`` with a function the caller already holds.
+
+        The caller vouches that ``function`` equals the parse of the blob's
+        bytes (it just serialised them from it), and hands it over: it
+        becomes shared and read-only.  No miss is counted.
+        """
+        self._entries.pop(blob_oid, None)
+        while len(self._entries) >= _PARSE_CACHE_LIMIT:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[blob_oid] = function
 
     def clear(self) -> None:
         self._entries.clear()

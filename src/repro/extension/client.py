@@ -6,18 +6,22 @@ through the hosting platform's REST API, exactly as described in Section 3
 directly modifies the citation file on the remote repository").
 
 :class:`ExtensionClient` therefore works purely in terms of
-``owner/name`` slugs, refs and paths; it downloads ``citation.cite`` through
-the contents endpoint, evaluates the citation function locally, and — for
-project members — uploads the modified file back through the same endpoint.
+``owner/name`` slugs, refs and paths, and every extension operation is one
+request.  A view (GenCite) is ``GET /repos/{slug}/cite/{path}``: the hub
+evaluates ``Cite(V,P)(path)`` and answers with the resolved citation and
+the caller's permission, read afresh on each request, so a grant or
+revocation shows up on the next view.  Without a ref the hub uses the
+default branch and names it.  AddCite, ModifyCite and DelCite are one
+``POST /repos/{slug}/citations`` each: the hub applies the operation to the
+branch tip's ``citation.cite`` and commits, atomically per branch, so two
+members' concurrent edits both land.
 
-Repeated views are cheap.  The contents reply carries the file's blob oid
-(``sha``), and a version's ``citation.cite`` never changes for a given oid,
-so parses are memoised in a :class:`~repro.citation.citefile.ParseCache`
-keyed by it.  The signed-in login is memoised per token, since a token
-names one user for its whole life; a 401 drops it.  Membership is never
-cached: each view asks for the permission again, so a grant or revocation
-shows up on the next view.  A view therefore makes two requests, the
-contents ``GET`` and the permission ``GET``.
+:meth:`ExtensionClient.citation_function` still downloads the whole file
+through the contents endpoint, for callers that want the full function; it
+parses once per blob oid (the reply's ``sha``) through a
+:class:`~repro.citation.citefile.ParseCache`.  The signed-in login is
+memoised per token, since a token names one user for its whole life; a 401
+drops it.
 """
 
 from __future__ import annotations
@@ -25,22 +29,20 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 from typing import Optional
+from urllib.parse import quote
 
 from repro.errors import CitationFileError, HubError, PermissionDeniedError
-from repro.citation.citefile import (
-    CITATION_FILE_PATH,
-    ParseCache,
-    dumps_citation_file,
-    load_citation_bytes,
-)
+from repro.citation.citefile import CITATION_FILE_PATH, ParseCache, load_citation_bytes
 from repro.citation.function import CitationFunction, ResolvedCitation
-from repro.citation.operators import AddCite, DelCite, ModifyCite, apply_operation
 from repro.citation.record import Citation
 from repro.hub.api import RestApi, raise_for_status
 from repro.hub.retry import RetryingApi, RetryPolicy
 from repro.utils.paths import normalize_path
 
 __all__ = ["ExtensionClient", "RemoteCitationView"]
+
+#: Permission labels that make a user a project member (may modify files).
+_MEMBER_PERMISSIONS = ("write", "admin")
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class ExtensionClient:
             self._login = None
         if not response.ok:
             return False
-        return response.json["permission"] in ("write", "admin")
+        return response.json["permission"] in _MEMBER_PERMISSIONS
 
     def citation_function(self, slug: str, ref: Optional[str] = None) -> CitationFunction:
         """The remote ``citation.cite`` of a version, parsed (a private copy)."""
@@ -168,21 +170,32 @@ class ExtensionClient:
     # ------------------------------------------------------------------
 
     def view_node(self, slug: str, path: str, ref: Optional[str] = None) -> RemoteCitationView:
-        """Gather what the popup needs for one node (Figure 2's main view)."""
-        ref = ref or self.default_branch(slug)
-        function = self._function_at(slug, ref)
+        """Gather what the popup needs for one node (Figure 2's main view), in one request."""
         canonical = normalize_path(path)
+        url = f"/repos/{slug}/cite{quote(canonical, safe='/')}"
+        if ref is not None:
+            url += f"?ref={quote(ref, safe='')}"
+        response = self.api.get(url, token=self.token)
+        self._raise_for_citation_status(response)
+        body = response.json
+        resolved = body["resolved"]
+        citation = Citation.from_dict(resolved["citation"])
         return RemoteCitationView(
             slug=slug,
-            ref=ref,
-            path=canonical,
-            is_member=self.is_member(slug),
-            explicit_citation=function.get_explicit(canonical),
-            resolved=function.resolve(canonical),
+            ref=body["ref"],
+            path=body["path"],
+            is_member=body["permission"] in _MEMBER_PERMISSIONS,
+            explicit_citation=citation if body["explicit"] is not None else None,
+            resolved=ResolvedCitation(
+                path=resolved["path"],
+                citation=citation,
+                source_path=resolved["source_path"],
+                is_explicit=resolved["is_explicit"],
+            ),
         )
 
     def generate_citation(self, slug: str, path: str, ref: Optional[str] = None) -> ResolvedCitation:
-        """GenCite for a remote node: evaluate ``Cite(V,P)(path)`` remotely."""
+        """GenCite for a remote node: the hub evaluates ``Cite(V,P)(path)``."""
         return self.view_node(slug, path, ref=ref).resolved
 
     # ------------------------------------------------------------------
@@ -197,52 +210,42 @@ class ExtensionClient:
         ref: Optional[str] = None,
         is_directory: bool = False,
     ) -> str:
-        """Attach a citation to a remote node by rewriting ``citation.cite``."""
-        return self._mutate(
-            slug,
-            ref,
-            AddCite(path=path, citation=citation, is_directory=is_directory),
-            f"AddCite {normalize_path(path)} via GitCite extension",
-        )
+        """Attach a citation to a remote node; returns the commit id."""
+        return self._mutate(slug, ref, "add", path, citation, is_directory)
 
     def modify_citation(
         self, slug: str, path: str, citation: Citation, ref: Optional[str] = None
     ) -> str:
         """Replace the citation of a remote node."""
-        return self._mutate(
-            slug,
-            ref,
-            ModifyCite(path=path, citation=citation),
-            f"ModifyCite {normalize_path(path)} via GitCite extension",
-        )
+        return self._mutate(slug, ref, "modify", path, citation)
 
     def delete_citation(self, slug: str, path: str, ref: Optional[str] = None) -> str:
         """Remove the explicit citation of a remote node."""
-        return self._mutate(
-            slug,
-            ref,
-            DelCite(path=path),
-            f"DelCite {normalize_path(path)} via GitCite extension",
-        )
+        return self._mutate(slug, ref, "delete", path)
 
-    def _mutate(self, slug: str, ref: Optional[str], operation, message: str) -> str:
-        if not self.is_member(slug):
+    def _mutate(self, slug: str, ref: Optional[str], kind: str, path: str,
+                citation: Optional[Citation] = None, is_directory: bool = False) -> str:
+        """One ``POST citations``: the hub applies the operation and commits."""
+        if self.token is None:
             raise PermissionDeniedError(
                 "only project members may add, modify or delete citations "
                 "(non-members can still generate citations)"
             )
-        ref = ref or self.default_branch(slug)
-        function = self._function_at(slug, ref).copy()
-        apply_operation(function, operation)
-        payload = {
-            "message": message,
-            "content": base64.b64encode(dumps_citation_file(function).encode("utf-8")).decode("ascii"),
-            "branch": ref,
+        canonical = normalize_path(path)
+        label = {"add": "AddCite", "modify": "ModifyCite", "delete": "DelCite"}[kind]
+        payload: dict = {
+            "op": kind,
+            "path": canonical,
+            "message": f"{label} {canonical} via GitCite extension",
         }
-        response = self.api.put(
-            f"/repos/{slug}/contents{CITATION_FILE_PATH}", payload, token=self.token
-        )
-        self._raise_for_status(response)
+        if citation is not None:
+            payload["citation"] = citation.to_dict()
+        if is_directory:
+            payload["is_directory"] = True
+        if ref is not None:
+            payload["branch"] = ref
+        response = self.api.post(f"/repos/{slug}/citations", payload, token=self.token)
+        self._raise_for_citation_status(response)
         return response.json["commit"]["sha"]
 
     # ------------------------------------------------------------------
@@ -251,3 +254,14 @@ class ExtensionClient:
         if response.status == 401:
             self._login = None
         raise_for_status(response, HubError)
+
+    def _raise_for_citation_status(self, response) -> None:
+        """:meth:`_raise_for_status`, but a 404 raises :class:`CitationFileError`.
+
+        As in :meth:`_function_at`: the version has no ``citation.cite``, or
+        the ref, branch or repository does not exist (or is not visible).
+        """
+        if response.status == 404:
+            body = response.json if isinstance(response.json, dict) else {}
+            raise CitationFileError(body.get("message", "not citation-enabled"))
+        self._raise_for_status(response)

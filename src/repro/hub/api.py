@@ -22,12 +22,21 @@ Routes implemented::
     GET    /repos/{owner}/{repo}/contents/{path}?ref={ref}
     PUT    /repos/{owner}/{repo}/contents/{path}
     DELETE /repos/{owner}/{repo}/contents/{path}
+    GET    /repos/{owner}/{repo}/cite/{path}?ref={ref}
+    POST   /repos/{owner}/{repo}/citations
     POST   /repos/{owner}/{repo}/forks
 
 The three ``git/*`` sync endpoints carry the have/want negotiation and the
 bundle payloads of :mod:`repro.vcs.transfer`, so a client can clone, fetch
 and push over the same REST discipline the browser extension uses —
 authentication, permissions and rate limiting included.
+
+``cite`` and ``citations`` are the paper's extension operations done on the
+hub, one request each: the ``cite`` ``GET`` evaluates GenCite
+(``Cite(V,P)(path)``) and names the caller's permission, and the
+``citations`` ``POST`` applies AddCite, ModifyCite or DelCite to a branch's
+``citation.cite`` and commits it.  The ``cite`` path is percent-decoded; the
+contents routes take theirs verbatim.
 """
 
 from __future__ import annotations
@@ -36,11 +45,15 @@ import base64
 import binascii
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro import faults
+from repro.citation.citefile import CITATION_FILE_PATH
+from repro.citation.operators import AddCite, DelCite, ModifyCite
+from repro.citation.record import Citation
 from repro.errors import (
     AuthenticationError,
+    CitationError,
     HubError,
     InvalidObjectError,
     NotFoundError,
@@ -226,6 +239,10 @@ class RestApi(ApiVerbs):
                 return self._get_commits
             if len(parts) == 4 and parts[3] == "forks" and method == "POST":
                 return self._post_fork
+            if len(parts) == 4 and parts[3] == "citations" and method == "POST":
+                return self._post_citations
+            if len(parts) >= 4 and parts[3] == "cite" and method == "GET":
+                return self._get_cite
             if len(parts) == 6 and parts[3] == "collaborators" and parts[5] == "permission" and method == "GET":
                 return self._get_permission
             if len(parts) == 5 and parts[3] == "git" and parts[4] == "refs" and method == "GET":
@@ -408,8 +425,62 @@ class RestApi(ApiVerbs):
         )
         return {"content": None, "commit": {"sha": commit_oid}}
 
+    def _get_cite(self, route: _Route, token: Optional[str], payload: dict) -> dict:
+        parts = [part for part in route.path.split("/") if part]
+        path = unquote("/" + "/".join(parts[4:]))
+        view = self.platform.generate_citation(
+            self._slug(route), path, ref=route.query.get("ref"), token=token
+        )
+        resolved = view.resolved
+        citation = resolved.citation.to_dict()
+        return {
+            "ref": view.ref,
+            "sha": view.sha,
+            "path": resolved.path,
+            "permission": view.permission.label,
+            "explicit": citation if resolved.is_explicit else None,
+            "resolved": {
+                "path": resolved.path,
+                "source_path": resolved.source_path,
+                "is_explicit": resolved.is_explicit,
+                "citation": citation,
+            },
+        }
+
+    def _post_citations(self, route: _Route, token: Optional[str], payload: dict) -> dict:
+        kind, path = payload.get("op"), payload.get("path")
+        if kind not in ("add", "modify", "delete") or not isinstance(path, str):
+            raise ValidationError(
+                "POST citations requires 'op' (add, modify or delete) and a string 'path'"
+            )
+        branch, message = payload.get("branch"), payload.get("message")
+        if not isinstance(branch, (str, type(None))) or not isinstance(message, (str, type(None))):
+            raise ValidationError("'branch' and 'message' must be strings")
+        if kind == "delete":
+            operation = DelCite(path=path)
+        else:
+            raw = payload.get("citation")
+            if not isinstance(raw, dict):
+                raise ValidationError(f"op {kind!r} requires a 'citation' object")
+            try:
+                citation = Citation.from_dict(raw)
+            except CitationError as exc:
+                raise ValidationError(f"invalid citation: {exc}") from exc
+            if kind == "add":
+                operation = AddCite(path, citation, is_directory=bool(payload.get("is_directory")))
+            else:
+                operation = ModifyCite(path, citation)
+        commit_oid, blob_oid = self.platform.apply_citation_operation(
+            self._slug(route), operation, token=token, branch=branch, message=message
+        )
+        return {
+            "content": {"path": CITATION_FILE_PATH.lstrip("/"), "sha": blob_oid},
+            "commit": {"sha": commit_oid},
+        }
+
     def _post_fork(self, route: _Route, token: Optional[str], payload: dict) -> dict:
         hosted = self.platform.fork(self._slug(route), token=token, new_name=(payload or {}).get("name"))
         body = hosted.to_dict()
         body["html_url"] = self.platform.repository_url(hosted.full_name)
         return body
+

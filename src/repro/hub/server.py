@@ -15,29 +15,43 @@ The platform serves concurrent requests (it sits behind
 * account and repository *registration* (register_user, host_repository,
   fork) runs under the platform lock so two requests cannot claim the same
   login or slug;
-* ref moves (put_file, delete_file, receive_pack's ref update) and their
-  journal appends serialise on a per-slug lock, so journal order is ref
-  order.  Hosted repositories are bare: a contents commit is built from
-  the branch tip's tree and a push moves refs, and neither touches a
-  worktree or an index;
+* ref moves (put_file, delete_file, apply_citation_operation,
+  receive_pack's ref update) and their journal appends serialise on a
+  per-slug lock, so journal order is ref order.  Hosted repositories are
+  bare: a contents commit is built from the branch tip's tree and a push
+  moves refs, and neither touches a worktree or an index.  A citation
+  operation reads the branch tip's ``citation.cite`` under the same lock,
+  so its read-modify-write is atomic per branch;
 * the expensive part of a push — bundle verification and object install in
   :func:`~repro.vcs.transfer.session.apply_bundle` — deliberately runs
   *outside* any platform lock (the object store tolerates concurrent
   writers), so large pushes do not starve the contents API;
-* pure reads (get_file, list_tree, git_refs, upload_pack, commits) take no
-  lock at all and may overlap everything above.
+* pure reads (get_file, list_tree, git_refs, upload_pack, commits,
+  generate_citation) take no repository lock and may overlap everything
+  above.  The parsed ``citation.cite`` cache, shared by all repositories
+  (a blob oid names its bytes), sits behind its own small lock.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
+from repro.citation.citefile import (
+    CITATION_FILE_PATH,
+    ParseCache,
+    dump_citation_bytes,
+    load_citation_bytes,
+)
+from repro.citation.function import CitationFunction, ResolvedCitation
+from repro.citation.operators import CitationOperation, apply_operation
 from repro.errors import (
     AuthenticationError,
     BundleChecksumError,
     BundleError,
+    CitationError,
     InvalidObjectError,
     InvalidPathError,
     NotFoundError,
@@ -55,6 +69,7 @@ from repro.hub.auth import TokenAuthority
 from repro.hub.models import AccessToken, HostedRepository, Permission, User
 from repro.hub.ratelimit import RateLimiter
 from repro.utils.timeutil import now_utc
+from repro.vcs.objects import Blob
 from repro.vcs.remote import clone_repository, fork_repository
 from repro.vcs.repository import Repository
 from repro.vcs.transfer import (
@@ -66,7 +81,17 @@ from repro.vcs.transfer import (
 )
 from repro.vcs.treeops import flatten_tree
 
-__all__ = ["HostingPlatform"]
+__all__ = ["CitationView", "HostingPlatform"]
+
+
+@dataclass(frozen=True)
+class CitationView:
+    """GenCite of one node, evaluated on the hub, plus the caller's permission."""
+
+    ref: str
+    sha: str
+    permission: Permission
+    resolved: ResolvedCitation
 
 
 class HostingPlatform:
@@ -89,6 +114,10 @@ class HostingPlatform:
         #: Optional :class:`repro.hub.lifecycle.ServingState`; a journal write
         #: failure flips it to degraded so subsequent writes are shed upstream.
         self._lifecycle = None
+        #: Parsed ``citation.cite`` files by blob oid.  Entries are shared and
+        #: read-only; a citation operation copies before it applies.
+        self._parsed_lock = threading.Lock()
+        self._parsed = ParseCache()  # guarded-by: _parsed_lock
 
     def attach_journal(self, slug: str, journal) -> None:
         """Journal every acknowledged mutation of ``slug`` through ``journal``."""
@@ -478,6 +507,98 @@ class HostingPlatform:
                 raise ValidationError(f"cannot write {path!r} on {slug}@{target_branch}: {exc}") from exc
             self._journal_contents_commit(repo, slug, target_branch, commit_oid)
             return commit_oid
+
+    # ------------------------------------------------------------------
+    # Citation operations (what the browser extension uses)
+    # ------------------------------------------------------------------
+
+    def generate_citation(self, slug: str, path: str, ref: Optional[str] = None,
+                          token: Optional[str] = None) -> CitationView:
+        """GenCite on the hub: ``Cite(V,P)(path)`` at ``ref`` (read access required).
+
+        ``ref`` defaults to the default branch, which the view names.  The
+        caller's permission is read on every call, so a grant or revocation
+        shows on the next view.  A version without ``citation.cite`` (or an
+        unknown ref) is a 404; a file that does not parse, has no root
+        citation or a path that is not a repository path is a 422.
+        """
+        hosted = self.get_repository(slug, token=token)
+        user = self._require_user(token)
+        permission = hosted.permission_for(user.login if user else None)
+        resolved_ref = ref or hosted.default_branch
+        sha, function = self._citation_function(hosted, resolved_ref)
+        try:
+            resolved = function.resolve(path)
+        except CitationError as exc:
+            raise ValidationError(f"cannot cite {path!r} on {slug}@{resolved_ref}: {exc}") from exc
+        return CitationView(ref=resolved_ref, sha=sha, permission=permission, resolved=resolved)
+
+    def apply_citation_operation(self, slug: str, operation: CitationOperation, token: str,
+                                 branch: Optional[str] = None,
+                                 message: Optional[str] = None) -> tuple[str, str]:
+        """Apply AddCite, ModifyCite or DelCite to a branch's ``citation.cite`` and commit.
+
+        Returns ``(commit oid, blob oid of the new citation.cite)``.  Write
+        access is required.  The read of the tip's file, the operation and
+        the commit run under the per-slug lock, so two members' concurrent
+        operations on one branch both land.  The parse comes from the hub's
+        cache, and the function just written seeds it under the new blob
+        oid, so the next view or operation parses nothing.  An operation the
+        citation function refuses, or one that leaves the file unchanged,
+        is a 422; a branch without ``citation.cite`` is a 404.
+        """
+        hosted = self.get_repository(slug, token=token)
+        user = self._require_permission(hosted, token, Permission.WRITE)
+        repo = hosted.repo
+        target_branch = branch or hosted.default_branch
+        with self._repo_lock(slug):
+            if not repo.refs.has_branch(target_branch):
+                raise NotFoundError(f"{slug} has no branch {target_branch!r}")
+            _, base = self._citation_function(hosted, repo.refs.branch_target(target_branch))
+            function = base.copy()
+            try:
+                apply_operation(function, operation)
+                data = dump_citation_bytes(function)
+            except (CitationError, UnicodeEncodeError) as exc:
+                # UnicodeEncodeError: a lone surrogate in a JSON string has
+                # no UTF-8 encoding, so the file cannot hold it.
+                raise ValidationError(f"{operation.kind} {operation.path!r} refused: {exc}") from exc
+            try:
+                commit_oid = repo.commit_edit(
+                    target_branch, CITATION_FILE_PATH, data,
+                    message or operation.describe(), author_name=user.name,
+                )
+            except (StorageError, ObjectNotFoundError, InvalidObjectError):
+                raise
+            except VCSError as exc:
+                raise ValidationError(
+                    f"cannot commit {operation.describe()} on {slug}@{target_branch}: {exc}"
+                ) from exc
+            blob_oid = Blob(data).oid
+            with self._parsed_lock:
+                self._parsed.put(blob_oid, function)
+            self._journal_contents_commit(repo, slug, target_branch, commit_oid)
+            return commit_oid, blob_oid
+
+    def _citation_function(self, hosted: HostedRepository, ref: str) -> tuple[str, CitationFunction]:
+        """``(blob oid, parse)`` of ``citation.cite`` at ``ref``; the parse is shared, read-only."""
+        repo = hosted.repo
+        try:
+            oid = repo.blob_oid_at(ref, CITATION_FILE_PATH)
+        except (StorageError, ObjectNotFoundError, InvalidObjectError):
+            raise
+        except VCSError as exc:
+            raise NotFoundError(
+                f"{hosted.full_name}@{ref} is not citation-enabled "
+                f"(no {CITATION_FILE_PATH[1:]} found)"
+            ) from exc
+        with self._parsed_lock:
+            try:
+                return oid, self._parsed.get(
+                    oid, lambda: load_citation_bytes(repo.store.get_blob(oid).data)
+                )
+            except CitationError as exc:
+                raise ValidationError(f"{hosted.full_name}@{ref}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # History metadata (used when building citations for remote versions)

@@ -203,7 +203,12 @@ def encode_delta(base: bytes, target: bytes, max_literal: float | None = None) -
 
 
 def apply_delta(base: bytes, delta: bytes) -> bytes:
-    """Reconstruct the target payload from ``base`` and an encoded delta."""
+    """Reconstruct the target payload from ``base`` and an encoded delta.
+
+    A malformed delta raises :class:`ValueError` or :class:`IndexError`.
+    A negative count is malformed: an ``I`` literal of negative length
+    would move the cursor back and loop forever.
+    """
     output: list[bytes] = []
     position = 0
     while position < len(delta):
@@ -212,9 +217,13 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
         position = newline + 1
         if fields[0] == b"C":
             offset, length = int(fields[1]), int(fields[2])
+            if offset < 0 or length < 0:
+                raise ValueError(f"negative delta copy: {offset} {length}")
             output.append(base[offset:offset + length])
         elif fields[0] == b"I":
             length = int(fields[1])
+            if length < 0:
+                raise ValueError(f"negative delta insert length: {length}")
             output.append(delta[position:position + length])
             position += length
         else:
@@ -223,19 +232,27 @@ def apply_delta(base: bytes, delta: bytes) -> bytes:
 
 
 def delta_output_length(delta: bytes) -> int:
-    """Target payload size encoded by a delta, without applying it."""
+    """Target payload size encoded by a delta, without applying it.
+
+    Any malformed delta raises :class:`ValueError`.
+    """
     total = 0
     position = 0
-    while position < len(delta):
-        newline = delta.index(b"\n", position)
-        fields = delta[position:newline].split(b" ")
-        position = newline + 1
-        if fields[0] == b"C":
-            total += int(fields[2])
-        else:
-            length = int(fields[1])
+    try:
+        while position < len(delta):
+            newline = delta.index(b"\n", position)
+            fields = delta[position:newline].split(b" ")
+            position = newline + 1
+            if fields[0] not in (b"C", b"I"):
+                raise ValueError(f"unknown delta opcode: {fields[0]!r}")
+            length = int(fields[2] if fields[0] == b"C" else fields[1])
+            if length < 0:
+                raise ValueError(f"negative delta length: {length}")
             total += length
-            position += length
+            if fields[0] == b"I":
+                position += length
+    except IndexError as exc:
+        raise ValueError(f"truncated delta opcode: {exc}") from exc
     return total
 
 
@@ -852,7 +869,12 @@ class PackBackend(ObjectBackend):
 
         def sized(pack: _PackFile, offset: int) -> int:
             kind, _, data, _ = pack.read_record(offset)
-            return delta_output_length(data) if kind == "delta" else len(data)
+            if kind != "delta":
+                return len(data)
+            try:
+                return delta_output_length(data)
+            except ValueError as exc:
+                raise CorruptObjectError(oid, f"malformed delta body: {exc}") from exc
 
         buffered, packed = self._read_record(oid, sized)
         return len(buffered[1]) if buffered is not None else packed

@@ -181,17 +181,18 @@ class TestTypedErrors:
 
 
 class TestViewCache:
-    def test_repeated_view_parses_once_in_two_requests(self, hosted):
+    def test_repeated_view_is_one_request_parsed_once_at_the_hub(self, hosted):
         api = _CountingApi(hosted["api"])
+        hub = hosted["platform"]
         member = ExtensionClient(api, token=hosted["member"])
         first = member.view_node(hosted["slug"], "/src/main.py", ref="main")
-        assert member._parsed.misses == 1
+        assert hub._parsed.misses == 1
         api.requests.clear()
         for _ in range(5):
             assert member.view_node(hosted["slug"], "/src/main.py", ref="main") == first
-        assert member._parsed.misses == 1
-        assert len(api.requests) == 10
-        assert ("GET", "/user") not in api.requests
+        assert hub._parsed.misses == 1
+        assert api.requests == [("GET", "/repos/alice/demo/cite/src/main.py")] * 5
+        assert member._parsed.misses == 0
 
     def test_login_is_asked_once_per_token(self, hosted):
         api = _CountingApi(hosted["api"])
@@ -210,7 +211,9 @@ class TestViewCache:
         writer.modify_citation(hosted["slug"], "/src/main.py", other_citation)
         after = reader.view_node(hosted["slug"], "/src/main.py")
         assert after.explicit_citation == other_citation != before.explicit_citation
-        assert reader._parsed.misses == 2
+        # One parse per blob at the hub: the edit seeded the new blob's parse.
+        assert hosted["platform"]._parsed.misses == 1
+        assert reader._parsed.misses == writer._parsed.misses == 0
 
     def test_returned_function_is_a_private_copy(self, hosted, sample_citation):
         client = ExtensionClient(hosted["api"], token=hosted["visitor"])

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from legacy_copies import build_reference, copy_legacy, fixture_path
 from repro.errors import (
     CLIError,
+    CorruptObjectError,
     InvalidObjectError,
     ObjectNotFoundError,
     StorageError,
@@ -32,7 +33,8 @@ from repro.vcs.remote import clone_repository, push
 from repro.vcs.repository import Repository
 from repro.vcs.storage import MemoryBackend, PackBackend, make_backend
 from repro.vcs.storage.loose import decode_loose_object, loose_object_files
-from repro.vcs.storage.pack import DeltaWindow, apply_delta, encode_delta
+from repro.vcs.storage import pack as pack_module
+from repro.vcs.storage.pack import DeltaWindow, apply_delta, delta_output_length, encode_delta
 from repro.vcs.workingcopy import load_repository, reachable_from_refs, save_repository
 
 BACKEND_KINDS = ("memory", "pack")
@@ -284,6 +286,43 @@ class TestPackSpecifics:
         assert apply_delta(base, delta) == target
         budgeted = encode_delta(base, target, max_literal=len(target) // 3)
         assert budgeted is None or apply_delta(base, budgeted) == target
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | st.lists(
+        st.sampled_from([b"C", b"I", b" ", b"\n", b"-", b"0", b"3", b"x"]), max_size=24
+    ).map(b"".join))
+    @example(b"C 5\n")  # a copy without its length
+    @example(b"I -5\n")  # a negative literal moved the cursor back forever
+    @example(b"C 0 -3\n")
+    @example(b"X 1\nx")
+    def test_delta_decoders_are_total(self, delta):
+        try:
+            length = delta_output_length(delta)
+        except ValueError:
+            pass
+        else:
+            assert isinstance(length, int) and length >= 0
+        try:
+            apply_delta(b"0123456789", delta)
+        except (ValueError, IndexError):
+            pass
+
+    def test_read_size_of_a_malformed_delta_is_corruption(self, tmp_path, monkeypatch):
+        """A present but corrupt delta record is not an absent object."""
+        monkeypatch.setattr(pack_module, "encode_delta", lambda *_: b"C 5\n")
+        backend = PackBackend(tmp_path / "bad-delta")
+        store = ObjectStore(backend)
+        noise = random.Random(5).randbytes(2000)
+        base, target = Blob(noise), Blob(noise + b"tail\n")
+        store.put_many([base, target])
+        store.flush()
+        assert b"delta blob " + target.oid.encode() in next(backend.root.glob("*.pack")).read_bytes()
+        for probe in (backend.read, backend.read_size):
+            with pytest.raises(CorruptObjectError, match="malformed delta body"):
+                probe(target.oid)
+        reopened = ObjectStore(PackBackend(backend.root))
+        with pytest.raises(CorruptObjectError, match="malformed delta body"):
+            reopened.blob_size(target.oid)
 
     def test_delta_encoding_is_deterministic(self):
         rng = random.Random(7)
