@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro.utils import atomicio
 from repro.utils.hashing import sha1_hex
 from repro.utils.jsonutil import stable_loads
 
@@ -262,7 +263,7 @@ def write_baseline(path: Path, findings: Iterable[Finding]) -> None:
         ],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    atomicio.atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ a power cut, so this rule flags:
 
 * ``open(...)`` / ``<path>.open(...)`` with a write-capable mode literal
   (any of ``w``/``a``/``x``/``+`` in the mode string);
+* pathlib's ``<path>.write_bytes(...)`` and ``<path>.write_text(...)``,
+  which truncate the target in place;
 * ``os.rename``, ``os.replace``, ``os.renames`` and ``shutil.move``.
 
 ``utils/atomicio.py`` itself is exempt — it is the one place the
@@ -33,6 +35,8 @@ _WRITE_MODE_CHARS = set("wax+")
 _RENAME_CALLS = {
     ("os", "rename"), ("os", "replace"), ("os", "renames"), ("shutil", "move"),
 }
+
+_PATHLIB_WRITES = {"write_bytes", "write_text"}
 
 
 def _literal_mode(node: ast.Call) -> str | None:
@@ -70,6 +74,8 @@ def check_durability(project: Project) -> list[Finding]:
                     mode = _literal_mode(node)
                     if mode and _WRITE_MODE_CHARS & set(mode):
                         flagged = f"raw .open(..., {mode!r})"
+                elif func.attr in _PATHLIB_WRITES:
+                    flagged = f"raw .{func.attr}()"
                 elif (
                     isinstance(func.value, ast.Name)
                     and (func.value.id, func.attr) in _RENAME_CALLS

@@ -28,6 +28,34 @@ _REQUIRED_KEYS = ("repoName", "owner", "committedDate", "commitID", "url", "auth
 _OPTIONAL_KEYS = ("doi", "version", "license", "title", "description", "swhid")
 
 
+class _FrozenDict(dict):
+    """A JSON object inside a citation: read-only and hashable, and still
+    written out as a JSON object."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("citation values are immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def _freeze(value: Any) -> Any:
+    """``value`` with every JSON array a tuple and every object a :class:`_FrozenDict`.
+
+    The writers emit both as before, so ``citation.cite`` bytes do not change.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    if isinstance(value, dict):
+        return _FrozenDict((key, _freeze(item)) for key, item in value.items())
+    return value
+
+
 @dataclass(frozen=True)
 class Citation:
     """A citation value as stored in ``citation.cite``.
@@ -79,7 +107,10 @@ class Citation:
         if not isinstance(self.committed_date, datetime):
             raise InvalidCitationError("committed_date must be a datetime")
         object.__setattr__(self, "authors", tuple(self.authors))
-        object.__setattr__(self, "extra", tuple(self.extra))
+        # JSON arrays and objects become hashable, as a frozen value must be.
+        for name in _OPTIONAL_KEYS:  # the optional keys are the field names
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "extra", tuple((key, _freeze(value)) for key, value in self.extra))
 
     # ------------------------------------------------------------------
     # Serialisation (the citation.cite JSON value format of Listing 1)

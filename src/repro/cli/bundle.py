@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import BundleError, CLIError, RefError, RemoteError
+from repro.utils import atomicio
 from repro.vcs.transfer import (
     advertise_refs,
     apply_bundle,
@@ -61,7 +62,7 @@ def cmd_bundle_create(args: argparse.Namespace) -> int:
     plan, writer = plan_bundle(repo.store, wants, haves=haves, refs=advertisement)
     data = writer.getvalue()
     try:
-        Path(args.file).write_bytes(data)
+        atomicio.atomic_write_bytes(Path(args.file), data, durable=True)
     except OSError as exc:
         raise CLIError(f"cannot write bundle file: {exc}") from exc
     thin = f", thin against {len(plan.boundary)} prerequisite(s)" if haves else ""

@@ -20,12 +20,13 @@ from repro.citation.manager import CitationManager
 from repro.citation.record import Citation
 from repro.citation.retro import retrofit
 from repro.formats import render
+from repro.utils import atomicio
 from repro.utils.jsonutil import stable_loads
-from repro.utils.paths import normalize_path
 from repro.utils.timeutil import now_utc, parse_timestamp
 from repro.vcs.repository import Repository
-from repro.vcs.workingcopy import is_working_copy, load_repository, save_checkout, save_repository
-from repro.vcs.worktree import remove_files
+from repro.vcs.workingcopy import (
+    import_worktree, is_working_copy, load_repository, save_checkout, save_repository,
+)
 
 __all__ = [
     "cmd_init",
@@ -59,8 +60,14 @@ def _load(args: argparse.Namespace) -> tuple[Repository, CitationManager]:
     return repo, CitationManager(repo)
 
 
-def _save(repo: Repository, args: argparse.Namespace) -> None:
-    save_repository(repo, args.directory)
+def _print_kept(paths: list[str]) -> None:
+    for path in paths:
+        _print(f"  kept local changes: {path}")
+
+
+def _save(repo: Repository, directory: str | Path) -> None:
+    """Save the working copy, naming the files left alone for local edits."""
+    _print_kept(save_repository(repo, directory))
 
 
 def _citation_from_args(args: argparse.Namespace, manager: CitationManager) -> Citation:
@@ -104,12 +111,10 @@ def cmd_init(args: argparse.Namespace) -> int:
         owner=args.owner,
         description=args.description or "",
     )
-    from repro.vcs.worktree import import_worktree
-
     imported = import_worktree(repo, directory)
     if imported or args.allow_empty:
         repo.commit(args.message or "Initial commit", author_name=args.owner, timestamp=now_utc())
-    save_repository(repo, directory)
+    _save(repo, directory)
     _print(f"Initialised gitcite repository {repo.full_name} with {len(imported)} file(s)")
     return 0
 
@@ -120,7 +125,7 @@ def cmd_enable(args: argparse.Namespace) -> int:
     citation = _citation_from_args(args, manager)
     manager.init_citations(citation, overwrite=args.overwrite)
     manager.commit("Enable citations", timestamp=now_utc())
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(f"Created {CITATION_FILE_PATH[1:]} with root citation for {repo.full_name}")
     return 0
 
@@ -160,7 +165,7 @@ def cmd_commit(args: argparse.Namespace) -> int:
     """Commit the working tree (including the maintained citation file)."""
     repo, manager = _load(args)
     oid = manager.commit(args.message, author_name=args.author, timestamp=now_utc())
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(f"[{repo.current_branch}] {oid[:7]} {args.message or ''}".rstrip())
     return 0
 
@@ -170,7 +175,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
     repo, _ = _load(args)
     if args.name:
         repo.create_branch(args.name)
-        _save(repo, args)
+        _save(repo, args.directory)
         _print(f"Created branch {args.name}")
         return 0
     for name, oid in sorted(repo.branches().items()):
@@ -184,8 +189,7 @@ def cmd_checkout(args: argparse.Namespace) -> int:
     repo, _ = _load(args)
     files_head = repo.head_oid()
     oid = repo.checkout(args.ref, create_branch=args.create)
-    for path in save_checkout(repo, args.directory, files_head):
-        _print(f"  kept local changes: {path}")
+    _print_kept(save_checkout(repo, args.directory, files_head))
     _print(f"Checked out {args.ref} at {oid[:7]}")
     return 0
 
@@ -195,14 +199,9 @@ def cmd_move(args: argparse.Namespace) -> int:
     repo, manager = _load(args)
     if repo.file_exists(args.source):
         manager.move_file(args.source, args.destination)
-        moves = {normalize_path(args.source): normalize_path(args.destination)}
     else:
-        moves = manager.move_directory(args.source, args.destination)
-    _save(repo, args)
-    # The export only writes the new layout: remove the moved files' old
-    # copies (not paths the move wrote again) and the directories left
-    # empty.  Untracked files under the source stay where they are.
-    remove_files(args.directory, moves.keys() - set(moves.values()))
+        manager.move_directory(args.source, args.destination)
+    _save(repo, args.directory)
     _print(f"Moved {args.source} -> {args.destination} (citations updated)")
     return 0
 
@@ -218,7 +217,7 @@ def cmd_add_cite(args: argparse.Namespace) -> int:
     manager.add_cite(args.path, _citation_from_args(args, manager))
     if args.commit:
         manager.commit(f"AddCite {args.path}", timestamp=now_utc())
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(f"Attached citation to {args.path}")
     return 0
 
@@ -229,7 +228,7 @@ def cmd_del_cite(args: argparse.Namespace) -> int:
     manager.del_cite(args.path)
     if args.commit:
         manager.commit(f"DelCite {args.path}", timestamp=now_utc())
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(f"Removed citation from {args.path}")
     return 0
 
@@ -240,7 +239,7 @@ def cmd_modify_cite(args: argparse.Namespace) -> int:
     manager.modify_cite(args.path, _citation_from_args(args, manager))
     if args.commit:
         manager.commit(f"ModifyCite {args.path}", timestamp=now_utc())
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(f"Modified citation of {args.path}")
     return 0
 
@@ -262,7 +261,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     resolved = manager.cite(args.path, ref=args.ref)
     text = render(resolved.citation, args.format, cited_path=args.path)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        atomicio.atomic_write_text(Path(args.output), text, durable=True)
         _print(f"Wrote {args.format} citation for {args.path} to {args.output}")
     else:
         _print(text.rstrip("\n"))
@@ -295,7 +294,7 @@ def cmd_copy_cite(args: argparse.Namespace) -> int:
         manager.commit(
             f"CopyCite {args.source_path} from {source_repo.full_name}", timestamp=now_utc()
         )
-    _save(repo, args)
+    _save(repo, args.directory)
     _print(
         f"Copied {len(outcome.copied_files)} file(s) from {outcome.source}; "
         f"migrated {outcome.citation_result.migrated_count} citation entr(y/ies)"
@@ -308,7 +307,7 @@ def cmd_merge_cite(args: argparse.Namespace) -> int:
     repo, manager = _load(args)
     strategy = strategy_by_name(args.strategy)
     outcome = manager.merge_cite(args.branch, strategy=strategy, message=args.message)
-    _save(repo, args)
+    _save(repo, args.directory)
     result = outcome.citation_result
     _print(
         f"Merged {args.branch} into {repo.current_branch} at {outcome.commit_oid[:7]} "
@@ -325,7 +324,7 @@ def cmd_fork_cite(args: argparse.Namespace) -> int:
     destination = Path(args.destination)
     if destination.exists() and any(destination.iterdir()):
         raise CLIError(f"destination {destination} exists and is not empty")
-    save_repository(fork_manager.repo, destination)
+    _save(fork_manager.repo, destination)
     _print(
         f"Forked {repo.full_name} -> {fork_manager.repo.full_name} at {destination} "
         "(citations carried over)"
@@ -337,7 +336,7 @@ def cmd_retro_cite(args: argparse.Namespace) -> int:
     """Retro-cite: mine history and citation-enable an existing repository."""
     repo, _ = _load(args)
     report = retrofit(repo, granularity=args.granularity, url=args.url)
-    save_repository(repo, args.directory)
+    _save(repo, args.directory)
     _print(
         f"Retroactively cited {repo.full_name}: {report.entries_created} entr(y/ies) at "
         f"{args.granularity} granularity from {report.commits_scanned} commit(s); "
@@ -351,7 +350,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     repo, manager = _load(args)
     report = manager.repair() if args.repair else manager.validate()
     if args.repair:
-        _save(repo, args)
+        _save(repo, args.directory)
     if report.is_consistent:
         _print("Citation function is consistent with the working tree")
         return 0

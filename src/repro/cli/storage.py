@@ -27,7 +27,7 @@ def cmd_storage_repack(args: argparse.Namespace) -> int:
     """
     repo = load_repository(args.directory)
     if repo.store.backend.kind != "pack":
-        save_repository(repo, args.directory, export_files=False)
+        save_repository(repo, args.directory)
     report = repo.store.backend.repack()
     _print(
         f"Repacked {report['objects_after']} object(s): "
@@ -42,6 +42,6 @@ def cmd_storage_gc(args: argparse.Namespace) -> int:
     repo = load_repository(args.directory)
     keep = reachable_from_refs(repo)
     removed = repo.store.gc(keep)
-    save_repository(repo, args.directory, export_files=False)
+    save_repository(repo, args.directory)
     _print(f"Removed {removed} unreachable object(s); {len(repo.store)} kept")
     return 0

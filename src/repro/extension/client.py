@@ -153,7 +153,7 @@ class ExtensionClient:
         The file is downloaded every time; it is parsed only when its blob
         oid (the reply's ``sha``) is not cached yet.
         """
-        url = f"/repos/{slug}/contents{CITATION_FILE_PATH}?ref={ref}"
+        url = f"/repos/{slug}/contents{quote(CITATION_FILE_PATH, safe='/')}?ref={quote(ref, safe='')}"
         response = self.api.get(url, token=self.token)
         if response.status == 404:
             raise CitationFileError(

@@ -112,6 +112,7 @@ _CANONICAL = (
     "pack.midx",       # multi-pack index write
     "pack.repack",     # repack/gc replacement pack write
     "state.save",      # working-copy state.json write
+    "worktree.write",  # one working-copy file write (every save and checkout)
     "bundle.read",     # transfer stream entering the bundle parser
     "bundle.apply",    # verified objects about to land in the store
     "wire.request",    # REST request leaving the client

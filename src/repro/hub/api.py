@@ -35,8 +35,9 @@ authentication, permissions and rate limiting included.
 hub, one request each: the ``cite`` ``GET`` evaluates GenCite
 (``Cite(V,P)(path)``) and names the caller's permission, and the
 ``citations`` ``POST`` applies AddCite, ModifyCite or DelCite to a branch's
-``citation.cite`` and commits it.  The ``cite`` path is percent-decoded; the
-contents routes take theirs verbatim.
+``citation.cite`` and commits it.  Every route is split on ``/`` first and
+each segment percent-decoded once, so ``GET .../contents/my%20file.txt``
+reads ``/my file.txt`` and an encoded ``%2F`` cannot forge a segment.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ class ApiVerbs:
 class _Route:
     method: str
     path: str
+    #: The path's non-empty segments, each percent-decoded once.
+    parts: tuple[str, ...]
     query: dict[str, str] = field(default_factory=dict)
 
 
@@ -211,7 +214,8 @@ class RestApi(ApiVerbs):
         split = urlsplit(url)
         query = {key: values[0] for key, values in parse_qs(split.query).items()}
         path = split.path.rstrip("/") or "/"
-        return _Route(method=method.upper(), path=path, query=query)
+        parts = tuple(unquote(part) for part in path.split("/") if part)
+        return _Route(method=method.upper(), path=path, parts=parts, query=query)
 
     def _check_rate_limit(self, token: Optional[str], route: _Route) -> None:
         if route.path == "/rate_limit":
@@ -223,7 +227,7 @@ class RestApi(ApiVerbs):
         self.platform.rate_limiter.check(identity)
 
     def _resolve_handler(self, route: _Route):
-        parts = [part for part in route.path.split("/") if part]
+        parts = route.parts
         method = route.method
 
         if route.path == "/user" and method == "GET":
@@ -264,13 +268,11 @@ class RestApi(ApiVerbs):
 
     @staticmethod
     def _slug(route: _Route) -> str:
-        parts = [part for part in route.path.split("/") if part]
-        return f"{parts[1]}/{parts[2]}"
+        return f"{route.parts[1]}/{route.parts[2]}"
 
     @staticmethod
     def _contents_path(route: _Route) -> str:
-        parts = [part for part in route.path.split("/") if part]
-        return "/" + "/".join(parts[4:])
+        return "/" + "/".join(route.parts[4:])
 
     # ------------------------------------------------------------------
     # Handlers
@@ -308,8 +310,7 @@ class RestApi(ApiVerbs):
         return self.platform.commits(self._slug(route), ref=ref, token=token, limit=limit)
 
     def _get_permission(self, route: _Route, token: Optional[str], payload: dict) -> dict:
-        parts = [part for part in route.path.split("/") if part]
-        username = parts[4]
+        username = route.parts[4]
         hosted = self.platform.get_repository(self._slug(route), token=token)
         permission = hosted.permission_for(username)
         label = {
@@ -321,8 +322,7 @@ class RestApi(ApiVerbs):
         return {"permission": label, "user": {"login": username}}
 
     def _get_tree(self, route: _Route, token: Optional[str], payload: dict) -> dict:
-        parts = [part for part in route.path.split("/") if part]
-        ref = parts[5] if len(parts) > 5 else None
+        ref = route.parts[5] if len(route.parts) > 5 else None
         listing = self.platform.list_tree(self._slug(route), ref=ref, token=token)
         return {"tree": listing, "truncated": False}
 
@@ -426,10 +426,8 @@ class RestApi(ApiVerbs):
         return {"content": None, "commit": {"sha": commit_oid}}
 
     def _get_cite(self, route: _Route, token: Optional[str], payload: dict) -> dict:
-        parts = [part for part in route.path.split("/") if part]
-        path = unquote("/" + "/".join(parts[4:]))
         view = self.platform.generate_citation(
-            self._slug(route), path, ref=route.query.get("ref"), token=token
+            self._slug(route), self._contents_path(route), ref=route.query.get("ref"), token=token
         )
         resolved = view.resolved
         citation = resolved.citation.to_dict()

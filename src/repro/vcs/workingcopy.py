@@ -8,9 +8,13 @@ state:
   tags, HEAD), recording ``"storage": "pack"``;
 * ``pack/`` — the object store as delta-compressed pack files, the one
   layout every save writes;
-* the working tree is the directory itself (``.gitcite/`` excluded),
-  imported on load and exported on save, so users see and edit normal
-  files while the citation machinery keeps its history next to them.
+* the working tree is the directory itself (``.gitcite/`` excluded), so
+  users see and edit normal files while the citation machinery keeps its
+  history next to them.  :func:`load_repository` imports every file and
+  remembers its blob oid as the directory's *manifest*; a save writes only
+  the files whose oid changed since then, removes the ones deleted, and
+  leaves alone (and reports as ``kept local changes``) a file edited on
+  disk in the meantime.
 
 Copies written by older releases may use one of two legacy layouts, which
 :func:`load_repository` still reads into an in-memory store:
@@ -38,16 +42,20 @@ from __future__ import annotations
 import base64
 import os
 import shutil
+import weakref
 from pathlib import Path
 
 from repro.errors import CLIError, VCSError
 from repro.utils import atomicio
+from repro.utils.hashing import object_id
 from repro.utils.jsonutil import pretty_dumps, stable_loads
+from repro.utils.paths import normalize_path
+from repro.vcs.ignore import IgnoreRules
 from repro.vcs.objects import deserialize_object
 from repro.vcs.repository import Repository
 from repro.vcs.storage import PackBackend
 from repro.vcs.storage.loose import decode_loose_object, loose_object_files
-from repro.vcs.worktree import checkout_files, export_worktree, import_worktree
+from repro.vcs.worktree import checkout_files, move_files
 
 __all__ = [
     "STATE_DIR",
@@ -57,6 +65,7 @@ __all__ = [
     "save_checkout",
     "load_bare",
     "load_repository",
+    "import_worktree",
     "reachable_from_refs",
 ]
 
@@ -65,6 +74,20 @@ STATE_FILE = "state.json"
 #: Subdirectories of ``STATE_DIR``: the pack store and the legacy loose one.
 _PACK_DIR = "pack"
 _LOOSE_DIR = "objects"
+
+#: ``{repository: {resolved directory: {path: blob oid}}}``: what each
+#: directory's files held when this process last read or wrote them.  Kept
+#: here rather than on the worktree, which a checkout replaces wholesale.
+_manifests: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _record_manifest(repo: Repository, directory: Path, manifest: dict[str, str]) -> None:
+    _manifests.setdefault(repo, {})[directory.resolve()] = manifest
+
+
+def _worktree_oids(repo: Repository) -> dict[str, str]:
+    worktree = repo.worktree
+    return {path: worktree.fingerprint(path) for path in worktree}
 
 
 def _state_path(directory: str | os.PathLike[str]) -> Path:
@@ -76,7 +99,7 @@ def is_working_copy(directory: str | os.PathLike[str]) -> bool:
     return _state_path(directory).is_file()
 
 
-def _write_state(repo: Repository, root: Path) -> Path:
+def _write_state(repo: Repository, root: Path) -> None:
     """Write ``state.json``: identity, refs and the pack layout record."""
     state_path = _state_path(root)
     state_path.parent.mkdir(parents=True, exist_ok=True)
@@ -100,18 +123,16 @@ def _write_state(repo: Repository, root: Path) -> Path:
         state_path, pretty_dumps(state) + "\n",
         durable=True, failpoint="state.save",
     )
-    return state_path
 
 
-def save_repository(repo: Repository, directory: str | os.PathLike[str],
-                    export_files: bool = True) -> Path:
-    """Serialise repository state under ``directory``/.gitcite and export the worktree.
+def _save_state(repo: Repository, root: Path, manifest: dict[str, str]) -> None:
+    """The state half of a save, run once the files are in place.
 
     A store that is not yet this working copy's pack store (in memory,
     loaded from a legacy copy, or packed elsewhere) is migrated into
-    ``.gitcite/pack/`` first.
+    ``.gitcite/pack/`` first; then ``state.json`` is written, and
+    ``manifest`` becomes what this process knows ``root``'s files hold.
     """
-    root = Path(directory)
     pack_root = root / STATE_DIR / _PACK_DIR
     backend = repo.store.backend
     # Resolve both sides: the same directory may be reached via different
@@ -123,15 +144,37 @@ def save_repository(repo: Repository, directory: str | os.PathLike[str],
         except VCSError as exc:
             raise CLIError(str(exc)) from exc
     repo.store.flush()
-    state_path = _write_state(repo, root)
+    _write_state(repo, root)
     # Only now — with state.json recording the pack layout — is a legacy
     # loose directory safe to delete.
     legacy_root = root / STATE_DIR / _LOOSE_DIR
     if legacy_root.is_dir():
         shutil.rmtree(legacy_root, ignore_errors=True)
-    if export_files:
-        export_worktree(repo, root)
-    return state_path
+    _record_manifest(repo, root, manifest)
+
+
+def save_repository(repo: Repository, directory: str | os.PathLike[str]) -> list[str]:
+    """Save ``repo``'s worktree as ``directory``'s files, then its state.
+
+    Only the files whose blob oid differs from the directory's manifest
+    move, through :func:`~repro.vcs.worktree.move_files`; a directory this
+    process holds no manifest for counts as empty.  Files go first and
+    ``state.json`` next; each file write is atomic, so after a crash every
+    file holds its whole old or whole new bytes.  Returns the paths kept
+    for local changes: files edited on disk since the manifest was taken.
+    """
+    root = Path(directory)
+    worktree = repo.worktree
+    before = _manifests.get(repo, {}).get(root.resolve(), {})
+    after = _worktree_oids(repo)
+    changes = sorted(
+        (path, before.get(path), after.get(path))
+        for path in before.keys() | after.keys()
+        if before.get(path) != after.get(path)
+    )
+    kept = move_files(root, changes, lambda path, oid: worktree[path])
+    _save_state(repo, root, after)
+    return kept
 
 
 def save_checkout(repo: Repository, directory: str | os.PathLike[str],
@@ -139,15 +182,16 @@ def save_checkout(repo: Repository, directory: str | os.PathLike[str],
     """Move ``directory``'s files from ``files_head``'s tree to HEAD's, then save.
 
     Only the files that differ move (:func:`~repro.vcs.worktree.checkout_files`);
-    the in-memory worktree is not exported.  Files go first and ``state.json``
-    next: after a crash between the two the old refs sit over files the next
-    move counts as done.  Returns the paths kept for local changes.
+    the "before" side is the tree, not a manifest, so a local edit of a file
+    the move changes is kept.  Files go first and ``state.json`` next: after
+    a crash between the two the old refs sit over files the next move counts
+    as done.  Returns the paths kept for local changes.
     """
     store = repo.store
     head = repo.head_oid()
     kept = checkout_files(store, directory, store.commit_tree(files_head) if files_head else None,
                           store.commit_tree(head) if head else None)
-    save_repository(repo, directory, export_files=False)
+    _save_state(repo, Path(directory), _worktree_oids(repo))
     return kept
 
 
@@ -227,6 +271,44 @@ def load_repository(directory: str | os.PathLike[str]) -> Repository:
     repo = load_bare(directory)
     import_worktree(repo, directory)
     return repo
+
+
+def import_worktree(repo: Repository, source: str | os.PathLike[str]) -> list[str]:
+    """Replace the repository's working tree with a directory's files.
+
+    The working tree and the index are cleared first, so files deleted on
+    disk disappear from the next commit; the default ignore rules apply.
+    Each file's blob oid primes its worktree fingerprint, and the
+    ``{path: oid}`` map becomes ``source``'s manifest: the "before" side of
+    the next :func:`save_repository`.  Returns the sorted repository paths
+    imported.
+    """
+    root = Path(source)
+    if not root.is_dir():
+        raise VCSError(f"not a directory: {root}")
+    rules = IgnoreRules()
+    repo.worktree.clear()
+    repo.index.clear()
+    # A wholesale replacement, exactly like a checkout: holders of
+    # deferred worktree-derived state must discard it, not flush it.
+    repo._notify_worktree_reload()
+    collected: dict[str, bytes] = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        prefix = Path(dirpath).relative_to(root).as_posix()
+        prefix = "" if prefix == "." else "/" + prefix
+        # Prune ignored directories in place so os.walk skips them.
+        dirnames[:] = [name for name in dirnames
+                       if not rules.matches(f"{prefix}/{name}", is_directory=True)]
+        for name in filenames:
+            if not rules.matches(f"{prefix}/{name}"):
+                collected[f"{prefix}/{name}"] = (Path(dirpath) / name).read_bytes()
+    # One batched write: the filesystem already keeps the imported set free
+    # of file/directory clashes.
+    imported = repo.write_files(collected)
+    manifest = {normalize_path(path): object_id("blob", data) for path, data in collected.items()}
+    repo.worktree.prime_fingerprints(manifest)
+    _record_manifest(repo, root, manifest)
+    return imported
 
 
 # ---------------------------------------------------------------------------

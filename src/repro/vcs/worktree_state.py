@@ -474,6 +474,13 @@ class WorktreeState(MutableMapping):
         self._fingerprints[path] = oid
         self._stored.add(path)
 
+    def prime_fingerprints(self, oids: Mapping[str, str]) -> None:
+        """Record the blob oids of present paths' bytes, hashed by the caller.
+
+        The blobs are not marked stored: the next ``add`` still stores them.
+        """
+        self._fingerprints.update(oids)
+
     def forget_stored(self) -> None:
         """Drop every known-stored flag (fingerprints stay).
 
@@ -484,11 +491,6 @@ class WorktreeState(MutableMapping):
         re-stores each blob into its own store before committing.
         """
         self._stored.clear()
-
-    def prime(self, path: str, data: bytes, oid: str) -> None:
-        """Install ``path`` with a known, already-stored blob oid."""
-        self[path] = data
-        self.mark_stored(path, oid)
 
     def _install_lazy(self, path: str, oid: str, stored: bool) -> None:
         """Insert an absent ``path`` as a lazy entry (move bookkeeping)."""

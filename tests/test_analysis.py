@@ -283,6 +283,20 @@ class TestDurability:
         })
         assert findings_for(root, "durability") == []
 
+    def test_pathlib_writes_are_flagged_unless_excused(self, tmp_path):
+        root = make_project(tmp_path, {
+            "core.py": "def save(path, data, text):\n"
+                       "    path.write_bytes(data)\n"
+                       "    path.write_text(text, encoding='utf-8')\n"
+                       "    path.write_text(text)  # lint: raw-write-ok(throwaway output)\n",
+            "utils/atomicio.py": "def torn(path, data):\n    path.write_bytes(data)\n",
+        })
+        findings = findings_for(root, "durability")
+        assert [(f.line, f.message) for f in findings] == [
+            (2, "raw .write_bytes() outside utils/atomicio"),
+            (3, "raw .write_text() outside utils/atomicio"),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # json-parsing

@@ -1,10 +1,13 @@
 """End-to-end tests for the ``gitcite`` command-line tool (the local executable)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import commands
 from repro.cli.main import main
+from repro.utils import atomicio
 from repro.vcs.workingcopy import is_working_copy, load_repository
 
 
@@ -207,6 +210,107 @@ class TestGitLevelCommands:
     def test_unknown_branch_merge_fails_cleanly(self, project, capsys):
         assert run("merge-cite", "-C", str(project), "no-such-branch") == 1
         assert "error" in capsys.readouterr().err
+
+
+def _files(root) -> dict[str, int]:
+    """``{repository path: st_mtime_ns}`` of the working copy's files."""
+    return {
+        "/" + path.relative_to(root).as_posix(): path.stat().st_mtime_ns
+        for path in root.rglob("*")
+        if path.is_file() and ".gitcite" not in path.relative_to(root).parts
+    }
+
+
+class TestSavesMoveOnlyWhatChanged:
+    """Each command writes and unlinks only the files whose bytes it changed."""
+
+    SIZE = 300
+
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """Record every working-copy file written or unlinked, by repository path."""
+        log = {"written": [], "unlinked": []}
+        real_write, real_unlink = atomicio.atomic_write_bytes, Path.unlink
+
+        def note(kind, target):
+            target = Path(target)
+            if ".gitcite" not in target.parts and not target.name.startswith(atomicio.TMP_PREFIX):
+                log[kind].append(target)
+
+        def write(target, data, *args, **kwargs):
+            note("written", target)
+            return real_write(target, data, *args, **kwargs)
+
+        def unlink(self, *args, **kwargs):
+            note("unlinked", self)
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(atomicio, "atomic_write_bytes", write)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        return log
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        directory = tmp_path / "big"
+        for number in range(self.SIZE):
+            target = directory / ("pkg" if number < 30 else f"mod{number % 9}") / f"f{number}.py"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(f"value = {number}\n")
+        return directory
+
+    @staticmethod
+    def _run(log, root, *argv):
+        """Run a command; the repository paths it wrote and unlinked, sorted."""
+        log["written"].clear()
+        log["unlinked"].clear()
+        assert run(*argv, "-C", str(root)) == 0
+        return tuple(
+            sorted("/" + Path(target).relative_to(root).as_posix() for target in log[kind])
+            for kind in ("written", "unlinked")
+        )
+
+    def test_each_command_writes_only_its_changes(self, copy, moves, tmp_path):
+        before = _files(copy)
+        assert self._run(moves, copy, "init", "--owner", "alice") == ([], [])
+        assert self._run(moves, copy, "enable", "--author", "Ada") == (["/citation.cite"], [])
+        assert self._run(moves, copy, "branch", "x") == ([], [])
+        assert self._run(moves, copy, "storage", "gc") == ([], [])
+        assert {path: mtime for path, mtime in _files(copy).items()
+                if path != "/citation.cite"} == before
+        (copy / "mod1" / "f37.py").write_text("value = 'edited'\n")
+        before = _files(copy)
+        assert self._run(moves, copy, "commit", "-m", "edit") == ([], [])
+        assert _files(copy) == before
+        assert self._run(moves, copy, "add-cite", "/mod1", "--author", "Bob") == (
+            ["/citation.cite"], [])
+        moved = [f"/pkg/f{number}.py" for number in range(30)]
+        written, unlinked = self._run(moves, copy, "mv", "pkg", "lib")
+        assert unlinked == sorted(moved)
+        assert written == sorted(path.replace("/pkg/", "/lib/") for path in moved)
+        assert not (copy / "pkg").exists()
+        assert (copy / "lib" / "f7.py").read_text() == "value = 7\n"
+        # A fork goes to a fresh directory, which holds nothing yet.
+        fork = tmp_path / "fork"
+        moves["written"].clear()
+        moves["unlinked"].clear()
+        assert run("fork-cite", str(fork), "--owner", "bob", "-C", str(copy)) == 0
+        assert sorted(moves["written"]) == sorted(fork / path[1:] for path in _files(fork))
+        assert len(moves["written"]) == self.SIZE + 1 and moves["unlinked"] == []
+        assert load_repository(fork).status().is_clean
+
+    def test_a_file_edited_during_a_command_is_kept_and_named(
+        self, project, monkeypatch, capsys
+    ):
+        def load_then_edit(directory):
+            repo = load_repository(directory)
+            (project / "citation.cite").write_text("edited meanwhile\n")
+            return repo
+
+        monkeypatch.setattr(commands, "load_repository", load_then_edit)
+        capsys.readouterr()
+        assert run("add-cite", "-C", str(project), "/README.md", "--author", "Ada") == 0
+        assert "kept local changes: /citation.cite" in capsys.readouterr().out
+        assert (project / "citation.cite").read_text() == "edited meanwhile\n"
 
 
 class TestBundleCommands:

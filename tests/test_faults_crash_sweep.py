@@ -6,7 +6,10 @@ sequence (init, a legacy copy's conversion to packs, commits, repack, gc,
 bundle receive) must
 leave the on-disk working copy in a state from which reopening — plus
 ``fsck --repair`` when needed — recovers every previously durable commit,
-branch tip and file byte-for-byte.
+branch tip and file byte-for-byte.  The working copy's own files are held
+to the same rule: after a crash every file holds its whole bytes from
+before or after the dying step, and the next load + commit + save brings
+the directory to exactly HEAD's files.
 
 The sweep is deterministic, not sampled: a fault-free dry run of the
 scenario counts how many times each failpoint fires and records the durable
@@ -87,7 +90,7 @@ def _steps(kind: str):
     def convert(root: Path) -> None:
         # A legacy copy's first save moves every object into a pack; on a
         # pack copy this only rewrites state.json.
-        save_repository(load_repository(root), root, export_files=False)
+        save_repository(load_repository(root), root)
 
     def commit_more(root: Path) -> None:
         repo = load_repository(root)
@@ -104,7 +107,7 @@ def _steps(kind: str):
         repo.write_file("/a.txt", "alpha three\n")
         repo.commit("c2", author_name="alice")
         repo.store.gc(reachable_from_refs(repo))
-        save_repository(repo, root, export_files=False)
+        save_repository(repo, root)
 
     def receive_bundle(root: Path) -> None:
         # An ahead clone pushes one commit back: the bundle path end to end
@@ -118,7 +121,7 @@ def _steps(kind: str):
         )
         result = apply_bundle(repo.store, data)
         update_refs_from_bundle(repo, result.bundle)
-        save_repository(repo, root, export_files=False)
+        save_repository(repo, root)
 
     return [init, convert, commit_more, repack, commit_and_gc, receive_bundle]
 
@@ -136,15 +139,37 @@ def _snapshot(root: Path) -> dict:
     return state
 
 
-def _run(root: Path, steps) -> list[dict]:
-    """Run the scenario, snapshotting after each step; crashes propagate."""
+def _disk(root: Path) -> dict:
+    """The working copy's files as they sit on disk (``.gitcite`` excluded)."""
+    return {
+        "/" + path.relative_to(root).as_posix(): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file() and ".gitcite" not in path.relative_to(root).parts
+    }
+
+
+def _run(root: Path, steps) -> tuple[list[dict], list[dict]]:
+    """Run the scenario, snapshotting the state and the disk after each step."""
     _rewind_clock()
     root.mkdir(parents=True, exist_ok=True)
     checkpoints: list[dict] = []
+    disks: list[dict] = []
     for step in steps:
         step(root)
         checkpoints.append(_snapshot(root))
-    return checkpoints
+        disks.append(_disk(root))
+    return checkpoints, disks
+
+
+def _assert_whole_files(root: Path, completed: int, disks: list[dict]) -> None:
+    """Every file holds its whole bytes from before or after the dying step."""
+    before = disks[completed - 1] if completed else {}
+    after = disks[completed] if completed < len(disks) else before
+    now = _disk(root)
+    for path in before.keys() | after.keys() | now.keys():
+        assert now.get(path) in (before.get(path), after.get(path)), (
+            f"{path} holds neither its old nor its new bytes (completed={completed})"
+        )
 
 
 def _recover(root: Path):
@@ -177,7 +202,7 @@ def _assert_recovered(recovered, completed: int, checkpoints: list[dict]) -> Non
 @pytest.mark.parametrize("kind", START_KINDS)
 def test_crash_sweep_every_failpoint_every_hit(tmp_path, kind):
     steps = _steps(kind)
-    expected = _run(tmp_path / "dry", steps)
+    expected, disks = _run(tmp_path / "dry", steps)
     assert len(expected) == len(steps)
     profile = {name: count for name, count in faults.all_hits().items() if count}
     assert profile, "scenario fired no failpoints — instrumentation is gone"
@@ -203,6 +228,7 @@ def test_crash_sweep_every_failpoint_every_hit(tmp_path, kind):
             finally:
                 faults.reset()
             assert crashed, f"{failpoint} hit {hit} armed but never fired"
+            _assert_whole_files(root, completed, disks)
             recovered = _recover(root)
             _assert_recovered(recovered, completed, expected)
             # After recovery the working copy is fully operational again.
@@ -210,7 +236,8 @@ def test_crash_sweep_every_failpoint_every_hit(tmp_path, kind):
                 repo = load_repository(root)
                 repo.write_file("/after.txt", "life goes on\n")
                 repo.commit("post-crash", author_name="alice")
-                save_repository(repo, root)
+                assert save_repository(repo, root) == []
+                assert _disk(root) == _snapshot(root)["files"]
                 assert fsck_working_copy(root).ok
                 state = json.loads((root / ".gitcite" / "state.json").read_text())
                 assert state["storage"] == "pack" and "objects" not in state
@@ -250,7 +277,7 @@ def test_crash_sweep_randomised(tmp_path_factory, data):
     steps = _steps(kind)
     base = tmp_path_factory.mktemp("sweep")
     faults.reset()
-    expected = _run(base / "dry", steps)
+    expected, disks = _run(base / "dry", steps)
     profile = {name: count for name, count in faults.all_hits().items() if count}
     failpoint = data.draw(st.sampled_from(sorted(profile)), label="failpoint")
     hit = data.draw(st.integers(1, profile[failpoint]), label="hit")
@@ -270,4 +297,5 @@ def test_crash_sweep_randomised(tmp_path_factory, data):
         pass
     finally:
         faults.reset()
+    _assert_whole_files(root, completed, disks)
     _assert_recovered(_recover(root), completed, expected)

@@ -321,6 +321,7 @@ class TestHubParseCache:
     @given(data=st.data())
     def test_seeding_is_exact_for_any_json_citation(self, data):
         root = Citation.from_dict(data.draw(_citation_dicts()))
+        assert hash(root) == hash(Citation.from_dict(root.to_dict()))
         hosted = _hosted_demo(root, Citation.from_dict(data.draw(_citation_dicts())))
         for _ in range(data.draw(st.integers(1, 4))):
             path = data.draw(st.sampled_from(["/src/main.py", "/docs", "/docs/guide.md", "/new"]))
@@ -332,7 +333,9 @@ class TestHubParseCache:
                 payload["is_directory"] = data.draw(st.booleans())
             response = hosted["api"].post(POST_URL, payload, token=hosted["alice"])
             if response.status == 201:
-                assert _seeded(hosted, response.json["content"]["sha"]) == _committed(hosted)
+                committed = _committed(hosted)
+                assert _seeded(hosted, response.json["content"]["sha"]) == committed
+                assert all(isinstance(hash(entry.citation), int) for entry in committed)
             else:
                 assert response.status == 422, response.json
 

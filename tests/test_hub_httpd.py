@@ -8,6 +8,7 @@ the full clone → commit → push round trip through
 tests cover, now with a genuine socket in the middle.
 """
 
+import base64
 import json
 import os
 import signal
@@ -166,6 +167,18 @@ class TestServerBasics:
         finally:
             connection.close()
         assert response.status == 422
+
+    def test_percent_encoded_contents_path_round_trips(self, wire, alice_token):
+        url = "/repos/alice/demo/contents/my%20file.txt"
+        body = {"message": "add", "content": base64.b64encode(b"spaced\n").decode("ascii")}
+        put = wire.put(url, body, token=alice_token)
+        assert (put.status, put.json["content"]["path"]) == (201, "my file.txt")
+        got = wire.get(url, token=alice_token)
+        assert got.status == 200 and base64.b64decode(got.json["content"]) == b"spaced\n"
+        # Each segment is decoded once: %2520 names '/my%20file.txt'.
+        assert wire.get("/repos/alice/demo/contents/my%2520file.txt", token=alice_token).status == 404
+        assert wire.delete(url, {"message": "drop"}, token=alice_token).status == 200
+        assert wire.get(url, token=alice_token).status == 404
 
     def test_connection_refused_raises_transport_error(self, platform):
         stopped = serve_platform(platform)

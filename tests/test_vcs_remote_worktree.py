@@ -6,7 +6,8 @@ from repro.errors import RemoteError, ValidationError, VCSError
 from repro.vcs.ignore import IgnoreRules
 from repro.vcs.remote import clone_repository, fork_repository, reachable_objects
 from repro.vcs.repository import Repository
-from repro.vcs.worktree import checkout_files, export_worktree, import_worktree
+from repro.vcs.workingcopy import import_worktree, load_repository, save_repository
+from repro.vcs.worktree import checkout_files
 
 
 @pytest.fixture
@@ -155,24 +156,22 @@ class TestIgnoreRules:
 class TestDiskWorktree:
     def test_export_and_import_round_trip(self, origin, tmp_path):
         target = tmp_path / "checkout"
-        written = export_worktree(origin, target)
+        assert save_repository(origin, target) == []
         assert (target / "src" / "lib.py").read_text() == "lib = 1\n"
-        assert "/src/lib.py" in written
 
-        fresh = Repository.init("reimport", "alice")
-        imported = import_worktree(fresh, target)
-        assert imported == sorted(origin.worktree)
+        fresh = load_repository(target)
+        assert sorted(fresh.worktree) == sorted(origin.worktree)
         assert fresh.worktree == origin.worktree
+        assert fresh.status().is_clean
 
     def test_import_honours_ignore_rules(self, origin, tmp_path):
         target = tmp_path / "checkout"
-        export_worktree(origin, target)
-        (target / ".gitcite").mkdir()
-        (target / ".gitcite" / "state.json").write_text("{}")
+        save_repository(origin, target)
         (target / "junk.pyc").write_bytes(b"\x00")
-        fresh = Repository.init("reimport", "alice")
-        imported = import_worktree(fresh, target)
-        assert all(".gitcite" not in path and not path.endswith(".pyc") for path in imported)
+        (target / "__pycache__").mkdir()
+        (target / "__pycache__" / "lib.cpython.pyc").write_bytes(b"\x00")
+        imported = sorted(load_repository(target).worktree)
+        assert imported == ["/README.md", "/src/lib.py"]
 
     def test_checkout_files_writes_a_whole_version(self, origin, tmp_path):
         first = origin.tree_oid_of("HEAD")
