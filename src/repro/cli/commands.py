@@ -24,9 +24,8 @@ from repro.utils import atomicio
 from repro.utils.jsonutil import stable_loads
 from repro.utils.timeutil import now_utc, parse_timestamp
 from repro.vcs.repository import Repository
-from repro.vcs.workingcopy import (
-    import_worktree, is_working_copy, load_repository, save_checkout, save_repository,
-)
+from repro.vcs.workingcopy import is_working_copy, load_repository, save_checkout, save_repository
+from repro.vcs.worktree import import_worktree
 
 __all__ = [
     "cmd_init",
@@ -306,8 +305,11 @@ def cmd_merge_cite(args: argparse.Namespace) -> int:
     """MergeCite: merge a branch, merging citation files the GitCite way."""
     repo, manager = _load(args)
     strategy = strategy_by_name(args.strategy)
+    files_head = repo.head_oid()
     outcome = manager.merge_cite(args.branch, strategy=strategy, message=args.message)
-    _save(repo, args.directory)
+    # The merge replaces the worktree with the merged tree, dropping
+    # untracked files: move only what differs between the two commits.
+    _print_kept(save_checkout(repo, args.directory, files_head))
     result = outcome.citation_result
     _print(
         f"Merged {args.branch} into {repo.current_branch} at {outcome.commit_oid[:7]} "

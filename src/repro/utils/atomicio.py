@@ -27,6 +27,7 @@ write a real crash produces), ``flip`` corrupts the payload but completes
 from __future__ import annotations
 
 import os
+import re
 import uuid
 from pathlib import Path
 
@@ -37,12 +38,15 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_directory",
+    "is_tmp_name",
     "sweep_orphan_tmp",
     "unique_tmp_path",
     "AtomicFile",
 ]
 
 TMP_PREFIX = ".tmp-"
+#: A name :func:`unique_tmp_path` makes: prefix, target, pid, serial, token.
+_TMP_NAME = re.compile(re.escape(TMP_PREFIX) + r".+\.\d+\.\d+\.[0-9a-f]{8}")
 
 #: Per-process monotonic counter folded into temp names.
 _counter = 0
@@ -64,6 +68,11 @@ def unique_tmp_path(target: Path) -> Path:
     token = uuid.uuid4().hex[:8]
     name = f"{TMP_PREFIX}{target.name}.{os.getpid()}.{_next_serial()}.{token}"
     return target.parent / name
+
+
+def is_tmp_name(name: str) -> bool:
+    """Whether ``name`` is exactly a temp name :func:`unique_tmp_path` makes."""
+    return _TMP_NAME.fullmatch(name) is not None
 
 
 def fsync_directory(directory: Path) -> None:

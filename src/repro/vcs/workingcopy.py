@@ -47,15 +47,12 @@ from pathlib import Path
 
 from repro.errors import CLIError, VCSError
 from repro.utils import atomicio
-from repro.utils.hashing import object_id
 from repro.utils.jsonutil import pretty_dumps, stable_loads
-from repro.utils.paths import normalize_path
-from repro.vcs.ignore import IgnoreRules
 from repro.vcs.objects import deserialize_object
 from repro.vcs.repository import Repository
 from repro.vcs.storage import PackBackend
 from repro.vcs.storage.loose import decode_loose_object, loose_object_files
-from repro.vcs.worktree import checkout_files, move_files
+from repro.vcs.worktree import checkout_files, import_worktree, move_files
 
 __all__ = [
     "STATE_DIR",
@@ -65,7 +62,6 @@ __all__ = [
     "save_checkout",
     "load_bare",
     "load_repository",
-    "import_worktree",
     "reachable_from_refs",
 ]
 
@@ -158,7 +154,8 @@ def save_repository(repo: Repository, directory: str | os.PathLike[str]) -> list
 
     Only the files whose blob oid differs from the directory's manifest
     move, through :func:`~repro.vcs.worktree.move_files`; a directory this
-    process holds no manifest for counts as empty.  Files go first and
+    process holds no manifest for counts as empty, so only its files not
+    already at their new bytes are written.  Files go first and
     ``state.json`` next; each file write is atomic, so after a crash every
     file holds its whole old or whole new bytes.  Returns the paths kept
     for local changes: files edited on disk since the manifest was taken.
@@ -267,48 +264,15 @@ def load_bare(directory: str | os.PathLike[str]) -> Repository:
 
 
 def load_repository(directory: str | os.PathLike[str]) -> Repository:
-    """:func:`load_bare` plus the working tree, which is whatever is on disk now."""
+    """:func:`load_bare` plus the working tree, which is whatever is on disk now.
+
+    Each file's blob oid is recorded as the directory's manifest: the
+    "before" side of the next :func:`save_repository`.
+    """
     repo = load_bare(directory)
     import_worktree(repo, directory)
+    _record_manifest(repo, Path(directory), _worktree_oids(repo))
     return repo
-
-
-def import_worktree(repo: Repository, source: str | os.PathLike[str]) -> list[str]:
-    """Replace the repository's working tree with a directory's files.
-
-    The working tree and the index are cleared first, so files deleted on
-    disk disappear from the next commit; the default ignore rules apply.
-    Each file's blob oid primes its worktree fingerprint, and the
-    ``{path: oid}`` map becomes ``source``'s manifest: the "before" side of
-    the next :func:`save_repository`.  Returns the sorted repository paths
-    imported.
-    """
-    root = Path(source)
-    if not root.is_dir():
-        raise VCSError(f"not a directory: {root}")
-    rules = IgnoreRules()
-    repo.worktree.clear()
-    repo.index.clear()
-    # A wholesale replacement, exactly like a checkout: holders of
-    # deferred worktree-derived state must discard it, not flush it.
-    repo._notify_worktree_reload()
-    collected: dict[str, bytes] = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        prefix = Path(dirpath).relative_to(root).as_posix()
-        prefix = "" if prefix == "." else "/" + prefix
-        # Prune ignored directories in place so os.walk skips them.
-        dirnames[:] = [name for name in dirnames
-                       if not rules.matches(f"{prefix}/{name}", is_directory=True)]
-        for name in filenames:
-            if not rules.matches(f"{prefix}/{name}"):
-                collected[f"{prefix}/{name}"] = (Path(dirpath) / name).read_bytes()
-    # One batched write: the filesystem already keeps the imported set free
-    # of file/directory clashes.
-    imported = repo.write_files(collected)
-    manifest = {normalize_path(path): object_id("blob", data) for path, data in collected.items()}
-    repo.worktree.prime_fingerprints(manifest)
-    _record_manifest(repo, root, manifest)
-    return imported
 
 
 # ---------------------------------------------------------------------------

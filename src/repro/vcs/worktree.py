@@ -1,4 +1,4 @@
-"""Moving a working copy's files on disk.
+"""Moving a working copy's files on disk and reading them back.
 
 The local executable tool of the paper operates on a checked-out copy of the
 project on the user's machine.  Every write and every removal of such a file
@@ -10,7 +10,8 @@ goes through one mover:
 * :func:`checkout_files` moves them from one committed tree to another
   (checkout, unbundle and a served hub's checkpoints).
 
-Reading a directory back is :func:`repro.vcs.workingcopy.import_worktree`.
+Reading a directory back is :func:`import_worktree`, which replaces a
+repository's working tree with the files on disk (honouring ignore rules).
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ import os
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.errors import VCSError
 from repro.utils import atomicio
 from repro.utils.paths import normalize_path
 from repro.vcs.diff import diff_trees
+from repro.vcs.ignore import IgnoreRules
 from repro.vcs.object_store import ObjectStore
 from repro.vcs.objects import Blob
+from repro.vcs.repository import Repository
 
-__all__ = ["move_files", "checkout_files"]
+__all__ = ["move_files", "checkout_files", "import_worktree"]
 
 
 def _target_path(root: Path, repo_path: str) -> Path:
@@ -112,3 +116,35 @@ def checkout_files(
         [(entry.path, entry.old_oid, entry.new_oid) for entry in entries],
         lambda path, oid: store.get_blob(oid).data,
     )
+
+
+def import_worktree(repo: Repository, source: str | os.PathLike[str]) -> list[str]:
+    """Replace the repository's working tree with a directory's files.
+
+    The working tree and the index are cleared first, so files deleted on
+    disk disappear from the next commit; the default ignore rules apply, and
+    a write that died before its rename left only a temp file, which is
+    skipped.  Returns the sorted repository paths imported.
+    """
+    root = Path(source)
+    if not root.is_dir():
+        raise VCSError(f"not a directory: {root}")
+    rules = IgnoreRules()
+    repo.worktree.clear()
+    repo.index.clear()
+    # A wholesale replacement, exactly like a checkout: holders of
+    # deferred worktree-derived state must discard it, not flush it.
+    repo._notify_worktree_reload()
+    collected: dict[str, bytes] = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        prefix = Path(dirpath).relative_to(root).as_posix()
+        prefix = "" if prefix == "." else "/" + prefix
+        # Prune ignored directories in place so os.walk skips them.
+        dirnames[:] = [name for name in dirnames
+                       if not rules.matches(f"{prefix}/{name}", is_directory=True)]
+        for name in filenames:
+            if not rules.matches(f"{prefix}/{name}") and not atomicio.is_tmp_name(name):
+                collected[f"{prefix}/{name}"] = (Path(dirpath) / name).read_bytes()
+    # One batched write: the filesystem already keeps the imported set free
+    # of file/directory clashes.
+    return repo.write_files(collected)

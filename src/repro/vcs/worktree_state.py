@@ -474,13 +474,6 @@ class WorktreeState(MutableMapping):
         self._fingerprints[path] = oid
         self._stored.add(path)
 
-    def prime_fingerprints(self, oids: Mapping[str, str]) -> None:
-        """Record the blob oids of present paths' bytes, hashed by the caller.
-
-        The blobs are not marked stored: the next ``add`` still stores them.
-        """
-        self._fingerprints.update(oids)
-
     def forget_stored(self) -> None:
         """Drop every known-stored flag (fingerprints stay).
 

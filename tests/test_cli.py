@@ -119,6 +119,19 @@ class TestGitLevelCommands:
         assert payload["authorList"] == ["Yanssie"]
         assert (project / "gui_app.py").exists() and (project / "core_change.py").exists()
 
+    def test_merge_cite_keeps_untracked_files(self, project):
+        assert run("checkout", "-C", str(project), "side", "--create") == 0
+        (project / "side.py").write_text("side = 1\n")
+        assert run("commit", "-C", str(project), "-m", "side work") == 0
+        assert run("checkout", "-C", str(project), "main") == 0
+        (project / "core.py").write_text("core = 1\n")
+        assert run("commit", "-C", str(project), "-m", "core work") == 0
+        (project / "notes.txt").write_bytes(b"never committed\n")
+        assert run("merge-cite", "-C", str(project), "side") == 0
+        assert (project / "notes.txt").read_bytes() == b"never committed\n"
+        assert (project / "side.py").read_text() == "side = 1\n"
+        assert load_repository(project).status().untracked == ("/notes.txt",)
+
     def test_checkout_moves_only_the_files_that_differ(self, project, capsys):
         assert run("checkout", "-C", str(project), "keep", "--create") == 0
         (project / "extra.txt").write_text("only on keep\n")

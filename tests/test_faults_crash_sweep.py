@@ -264,6 +264,27 @@ def test_torn_state_write_keeps_previous_state(tmp_path):
     assert not leftovers
 
 
+def test_torn_file_write_is_not_imported(tmp_path):
+    """A truncate at worktree.write leaves a temp file no later load imports."""
+    root = tmp_path / "wc"
+    _rewind_clock()
+    root.mkdir()
+    _steps("pack")[0](root)
+    repo = load_repository(root)
+    repo.write_file("/a.txt", "alpha torn\n")
+    faults.reset()  # zero the hit counters step 0 advanced
+    faults.arm("worktree.write", action="truncate", keep=3)
+    with pytest.raises(SimulatedCrash):
+        save_repository(repo, root)
+    faults.reset()
+    assert [path.name for path in root.iterdir() if path.name.startswith(".tmp-a.txt.")]
+    repo = load_repository(root)
+    assert repo.status().is_clean
+    repo.write_file("/c.txt", "gamma\n")
+    tree = flatten_tree(repo.store, repo.store.commit_tree(repo.commit("c1", author_name="alice")))
+    assert not [path for path in tree if ".tmp-" in path]
+
+
 @pytest.mark.slow
 @settings(
     max_examples=25,

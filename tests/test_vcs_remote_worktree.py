@@ -6,8 +6,8 @@ from repro.errors import RemoteError, ValidationError, VCSError
 from repro.vcs.ignore import IgnoreRules
 from repro.vcs.remote import clone_repository, fork_repository, reachable_objects
 from repro.vcs.repository import Repository
-from repro.vcs.workingcopy import import_worktree, load_repository, save_repository
-from repro.vcs.worktree import checkout_files
+from repro.vcs.workingcopy import load_repository, save_repository
+from repro.vcs.worktree import checkout_files, import_worktree
 
 
 @pytest.fixture
