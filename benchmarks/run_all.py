@@ -71,8 +71,14 @@ from repro.vcs.object_store import ObjectStore  # noqa: E402
 from repro.vcs.objects import MODE_FILE, Blob, Commit, Signature, deserialize_object  # noqa: E402
 from repro.vcs.merge import commit_ancestors  # noqa: E402
 from repro.vcs.remote import LocalRemote, clone_repository, push  # noqa: E402
-from repro.vcs.transfer import apply_bundle, common_tips, create_bundle  # noqa: E402
-from repro.vcs.treeops import flatten_tree  # noqa: E402
+from repro.vcs.transfer import (  # noqa: E402
+    advertise_refs,
+    apply_bundle,
+    common_tips,
+    create_bundle,
+    write_bundle,
+)
+from repro.vcs.treeops import flatten_tree, tree_closure  # noqa: E402
 from repro.vcs.repository import Repository  # noqa: E402
 from repro.vcs.storage import MemoryBackend, ObjectBackend  # noqa: E402
 from repro.vcs.storage.loose import decode_loose_object  # noqa: E402
@@ -1018,6 +1024,60 @@ class _LruWalkStore(ObjectStore):
         return self.get_commit(oid).tree_oid
 
 
+def _full_history_push(local: Repository, remote: Repository, branch: str) -> None:
+    """A push negotiated the way it was before generation numbers.
+
+    A benchmark-local copy of that negotiation: the excluded set is every
+    ancestor of every have, walked to the root on each push.  It yields
+    the same new commits, boundary and objects as the bounded walk, so the
+    bundle bytes and the receiving ``receive_pack`` are the ones
+    :meth:`~repro.vcs.remote.Remote.push` produces.
+    """
+    store = local.store
+    tip = local.refs.branch_target(branch)
+    haves = [oid for oid in sorted(advertise_refs(remote).tips()) if oid in store]
+    common: set[str] = set()
+    frontier = list(haves)
+    while frontier:
+        oid = frontier.pop()
+        if oid not in common:
+            common.add(oid)
+            frontier.extend(store.commit_parents(oid))
+    new_commits: list[str] = []
+    state: dict[str, int] = {}  # 0 = entered, 1 = emitted
+    stack = [tip]
+    while stack:
+        oid = stack[-1]
+        if oid in common or state.get(oid) == 1:
+            stack.pop()
+        elif state.get(oid) == 0:
+            state[oid] = 1
+            new_commits.append(oid)
+            stack.pop()
+        else:
+            state[oid] = 0
+            for parent in store.commit_parents(oid):
+                if parent not in common and state.get(parent) != 1:
+                    stack.append(parent)
+    boundary: list[str] = []
+    for oid in new_commits:
+        for parent in store.commit_parents(oid):
+            if parent in common and parent not in boundary:
+                boundary.append(parent)
+    cache: dict = {}
+    known: set[str] = set()
+    for oid in boundary:
+        known |= tree_closure(store, store.commit_tree(oid), cache)
+    objects: list[str] = []
+    for oid in new_commits:
+        fresh = tree_closure(store, store.commit_tree(oid), cache) - known
+        objects.append(oid)
+        objects.extend(sorted(fresh))
+        known |= fresh
+    data = write_bundle(store, objects, prerequisites=boundary, branches={branch: tip})
+    LocalRemote(remote).receive_pack(data, force=False)
+
+
 def _copy_of(source: Repository, store: ObjectStore) -> Repository:
     """A repository holding ``source``'s objects and refs in ``store`` (raw, unparsed)."""
     copy = Repository(source.name, source.owner)
@@ -1029,15 +1089,18 @@ def _copy_of(source: Repository, store: ObjectStore) -> Repository:
 
 
 def bench_deep_history_push(history_commits: int = 1500, pushes: int = 12) -> dict:
-    """One-commit pushes onto a 1.5k-commit history: LRU walks vs the parent index.
+    """One-commit pushes onto a 1.5k-commit history: full LRU walks vs bounded ones.
 
-    Every push walks the whole history (the negotiation's common-ancestor
-    walk on the sender, the fast-forward check on the receiver).  Through
-    the 512-entry parsed-object LRU alone such a walk re-parses every commit
-    each time; the store's commit-parent index parses each commit once per
-    store.  The gated ``commit_parses_per_push`` counts commit
-    deserialisations per push after one warm-up push, so it is a
-    hardware-independent guard against that cliff coming back.
+    The baseline negotiates against the haves' whole history (the sender's
+    common-ancestor walk to the root) and reads every ancestry step through
+    the 512-entry parsed-object LRU, so each push re-parses every commit.
+    The optimized push reads the store's commit-parent index and bounds
+    every walk by generation numbers.  Two hardware-independent gates count
+    per push, after one warm-up push: ``commit_parses_per_push`` (commit
+    deserialisations; ~history length if the parent index stops serving
+    walks) and ``commits_walked_per_push`` (``commit_parents`` calls on
+    sender and receiver together; ~history length if a walk goes back to
+    the root).
     """
     signature = Signature(name="alice", email="alice@example.org", timestamp=_STORAGE_STAMP)
     source = Repository.init("bench", "alice")
@@ -1048,6 +1111,7 @@ def bench_deep_history_push(history_commits: int = 1500, pushes: int = 12) -> di
         source.commit(f"revision {number}", author=signature)
 
     parses = [0]
+    walked = [0]
     original = object_store_module.deserialize_object
 
     def counting(object_type, payload):
@@ -1055,27 +1119,38 @@ def bench_deep_history_push(history_commits: int = 1500, pushes: int = 12) -> di
             parses[0] += 1
         return original(object_type, payload)
 
-    def run(store_class) -> tuple[float, float, Repository]:
+    def run(store_class, push_once) -> tuple[float, float, float, Repository]:
         local = _copy_of(source, store_class(MemoryBackend()))
         remote = _copy_of(source, store_class(MemoryBackend()))
-        per_push: list[int] = []
+        original_parents = store_class.__dict__["commit_parents"]
+
+        def counting_parents(self, oid):
+            walked[0] += 1
+            return original_parents(self, oid)
+
+        per_push: list[tuple[int, int]] = []
         elapsed = 0.0
         object_store_module.deserialize_object = counting
+        store_class.commit_parents = counting_parents
         try:
             for number in range(pushes + 1):
                 local.write_file("/src/pushed.py", f"# push {number}\n")
                 local.commit(f"push {number}", author=signature)
-                parses[0] = 0
-                seconds = _timed(lambda: push(local, remote, "main"))
+                parses[0] = walked[0] = 0
+                seconds = _timed(lambda: push_once(local, remote, "main"))
                 if number:  # the first push warms both stores
                     elapsed += seconds
-                    per_push.append(parses[0])
+                    per_push.append((parses[0], walked[0]))
         finally:
             object_store_module.deserialize_object = original
-        return elapsed, sum(per_push) / len(per_push), remote
+            store_class.commit_parents = original_parents
+        return (elapsed, sum(p for p, _ in per_push) / len(per_push),
+                sum(w for _, w in per_push) / len(per_push), remote)
 
-    baseline_s, baseline_parses, remote_baseline = run(_LruWalkStore)
-    optimized_s, optimized_parses, remote_optimized = run(ObjectStore)
+    baseline_s, baseline_parses, baseline_walked, remote_baseline = run(
+        _LruWalkStore, _full_history_push
+    )
+    optimized_s, optimized_parses, optimized_walked, remote_optimized = run(ObjectStore, push)
     identical = (
         remote_baseline.head_oid() == remote_optimized.head_oid()
         and remote_baseline.snapshot() == remote_optimized.snapshot()
@@ -1087,6 +1162,8 @@ def bench_deep_history_push(history_commits: int = 1500, pushes: int = 12) -> di
         "outputs_identical": identical,
         "baseline_commit_parses_per_push": baseline_parses,
         "commit_parses_per_push": optimized_parses,
+        "baseline_commits_walked_per_push": baseline_walked,
+        "commits_walked_per_push": optimized_walked,
         "history_commits": history_commits,
         "pushes": pushes,
     }

@@ -65,10 +65,14 @@ def commit_ancestors(store: ObjectStore, commit_oid: str, include_self: bool = T
 def is_ancestor_commit(store: ObjectStore, ancestor_oid: str, descendant_oid: str) -> bool:
     """Return whether ``ancestor_oid`` is reachable from ``descendant_oid``.
 
-    The walk stops as soon as it reaches ``ancestor_oid``, so the
-    fast-forward check behind every ref CAS costs the distance between the
-    two tips rather than the whole history.
+    The walk stops as soon as it reaches ``ancestor_oid``, and it never
+    descends below the ancestor's generation number (a commit whose
+    generation is not larger cannot have it as an ancestor), so the
+    fast-forward check behind every ref CAS — accepted or refused — costs
+    the commits between the two generations rather than the whole history.
+    A commit the store does not hold is nobody's ancestor.
     """
+    floor = store.commit_generation(ancestor_oid) if ancestor_oid in store else 0
     seen: set[str] = set()
     frontier = [descendant_oid]
     while frontier:
@@ -76,10 +80,11 @@ def is_ancestor_commit(store: ObjectStore, ancestor_oid: str, descendant_oid: st
         if oid in seen:
             continue
         seen.add(oid)
-        parents = store.commit_parents(oid)  # raises for a missing commit
+        generation = store.commit_generation(oid)  # raises for a missing commit
         if oid == ancestor_oid:
             return True
-        frontier.extend(parents)
+        if generation > floor:
+            frontier.extend(store.commit_parents(oid))
     return False
 
 

@@ -16,7 +16,11 @@ era; callers pick a layout at construction time and nothing else.
 History walks do not go through that LRU: :meth:`ObjectStore.commit_parents`
 and :meth:`ObjectStore.commit_tree` answer from a commit-parent index that is
 never evicted, so a walk over a history longer than the cache parses each
-commit once per store lifetime instead of once per walk.
+commit once per store lifetime instead of once per walk.  Beside it,
+:meth:`ObjectStore.commit_generation` memoises each commit's generation
+number (git's commit-graph "topological level"), which lets negotiation and
+fast-forward checks stop a walk at the commits that can still matter instead
+of descending to the root.
 """
 
 from __future__ import annotations
@@ -78,11 +82,11 @@ class ObjectStore:
     migrations) invalidate it too, not just facade-level writes.
 
     Thread-safety contract: the facade's mutable bookkeeping — the LRU
-    parse cache, the commit-parent index, the sorted prefix index and the
-    lease registry — is guarded by one internal lock, held only for
-    dict/list operations (never across backend I/O).  Object payload
-    reads and writes delegate to the backend, whose own write lock
-    serialises mutations while leaving reads lock-free (see
+    parse cache, the commit-parent index and generation memo, the sorted
+    prefix index and the lease registry — is guarded by one internal
+    lock, held only for dict/list operations (never across backend I/O).
+    Object payload reads and writes delegate to the backend, whose own
+    write lock serialises mutations while leaving reads lock-free (see
     :mod:`repro.vcs.storage.base`), so N server threads can read through
     one store while a push lands.
     """
@@ -98,8 +102,12 @@ class ObjectStore:
         #: of collected commits do not outlive them.
         #: Reads are lock-free single-key ``dict.get`` calls.
         self._commit_links: dict[str, tuple[str, tuple[str, ...]]] = {}  # guarded-by: _lock
-        #: Guards the cache, the parent index, the sorted prefix index and
-        #: the lease set.  Never held across backend I/O, so it cannot
+        #: ``{commit oid: generation}`` — 1 for a root, else 1 + the largest
+        #: parent generation.  Memoised beside ``_commit_links`` under the
+        #: same rules: never evicted, dropped wholesale by :meth:`gc`.
+        self._generations: dict[str, int] = {}  # guarded-by: _lock
+        #: Guards the cache, the parent index, the generation memo, the
+        #: sorted prefix index and the lease set.  Never held across backend I/O, so it cannot
         #: serialise reads.
         self._lock = threading.RLock()
         self._sorted_oids: list[str] = []
@@ -227,6 +235,59 @@ class ObjectStore:
     def commit_tree(self, oid: str) -> str:
         """Return the root tree id of commit ``oid``, from the same index."""
         return self._commit_links_of(oid)[0]
+
+    def commit_generation(self, oid: str) -> int:
+        """Return the generation number of commit ``oid`` (a root is 1).
+
+        A commit's generation is 1 + the largest generation of its parents,
+        so every ancestor of ``oid`` has a strictly smaller one: a walk that
+        only needs commits at or above some generation can stop there.  The
+        value is memoised; the first call on a history walks it iteratively
+        (no recursion, so any depth is fine) through :meth:`commit_parents`,
+        and later calls cost the commits added since.
+
+        Raises
+        ------
+        ObjectNotFoundError
+            If ``oid`` or one of its ancestors is not stored.
+        InvalidObjectError
+            If the object is not a commit.
+        """
+        generations = self._generations
+        known = generations.get(oid)
+        if known is not None:
+            return known
+        # Every value this walk reads is copied into ``found`` first, so a
+        # concurrent gc clearing the memo cannot pull one out from under it.
+        found: dict[str, int] = {}
+
+        def lookup(commit: str) -> int | None:
+            value = found.get(commit)
+            if value is None:
+                value = generations.get(commit)
+                if value is not None:
+                    found[commit] = value
+            return value
+
+        parents_of: dict[str, tuple[str, ...]] = {}
+        stack = [oid]
+        while stack:
+            top = stack[-1]
+            if lookup(top) is not None:
+                stack.pop()
+                continue
+            parents = parents_of.get(top)
+            if parents is None:
+                parents = parents_of[top] = self.commit_parents(top)
+                pending = [parent for parent in parents if lookup(parent) is None]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            found[top] = 1 + max((found[parent] for parent in parents), default=0)
+            stack.pop()
+        with self._lock:
+            generations.update(found)
+        return found[oid]
 
     def _commit_links_of(self, oid: str) -> tuple[str, tuple[str, ...]]:
         links = self._commit_links.get(oid)
@@ -433,6 +494,7 @@ class ObjectStore:
                     (oid, obj) for oid, obj in self._cache.items() if oid in keep
                 )
                 self._commit_links.clear()
+                self._generations.clear()
         return removed
 
     # -- transfer ----------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.vcs.transfer import (
     create_bundle,
     update_refs_from_bundle,
 )
-from repro.vcs.transfer.frontier import _shared_ancestors
 from repro.vcs.treeops import tree_closure
 
 __all__ = [
@@ -64,6 +63,12 @@ def reachable_objects(store: ObjectStore, commit_oid: str) -> set[str]:
     return reachable
 
 
+def _held_tips(store: ObjectStore, advert: RefAdvertisement) -> list[str]:
+    """The advertised commits ``store`` holds: the remote has their whole history."""
+    return [tip for tip in sorted(advert.tips())
+            if tip in store and store.get_type(tip) == "commit"]
+
+
 class Remote:
     """Clone, fetch, pull and push against one remote repository.
 
@@ -87,12 +92,9 @@ class Remote:
         """``(name, owner, description)`` of the remote repository."""
         raise NotImplementedError
 
-    def _known_commits(self, local: Repository, advert: RefAdvertisement):
-        """Commits the remote provably holds: history of the advertised tips we have."""
-        store = local.store
-        tips = [tip for tip in sorted(advert.tips())
-                if tip in store and store.get_type(tip) == "commit"]
-        return _shared_ancestors(store, tips)
+    def _haves(self, local: Repository, advert: RefAdvertisement) -> list[str]:
+        """The commits ``local`` offers as a fetch's haves."""
+        return _held_tips(local.store, advert)
 
     def fetch(self, local: Repository, wants=None,
               advert: RefAdvertisement | None = None) -> ApplyResult | None:
@@ -100,18 +102,18 @@ class Remote:
 
         ``wants`` defaults to everything the remote advertises; ``advert`` is
         an advertisement the caller already holds (one is read otherwise).
-        No local ref moves.  The haves are the local tips walked back to the
-        first commit the remote provably holds, so a local clone that is
-        *ahead* still yields a thin bundle.  Returns the apply result, or
-        ``None`` when there was nothing to want.
+        No local ref moves.  The haves are the advertised tips ``local``
+        already holds: the remote provably has their whole history, and its
+        generation-bounded negotiation only walks the part of it near the
+        wants.  Returns the apply result, or ``None`` when there was nothing
+        to want.
         """
         if advert is None:
             advert = self.refs()
         wanted = sorted(set(advert.tips() if wants is None else wants))
         if not wanted:
             return None
-        haves = common_tips(self._known_commits(local, advert), local)
-        return apply_bundle(local.store, self.upload_pack(wanted, haves))
+        return apply_bundle(local.store, self.upload_pack(wanted, self._haves(local, advert)))
 
     def fetch_branch(self, local: Repository, branch: str) -> str:
         """Fetch one remote branch's objects; return its tip without moving refs."""
@@ -163,7 +165,7 @@ class Remote:
         if not local.refs.has_branch(branch):
             raise RemoteError(f"local repository has no branch {branch!r}")
         tip = local.refs.branch_target(branch)
-        haves = [oid for oid in sorted(self.refs().tips()) if oid in local.store]
+        haves = _held_tips(local.store, self.refs())
         data = create_bundle(local.store, [tip], haves=haves, refs=RefAdvertisement.of_branch(branch, tip))
         return self.receive_pack(data, force)
 
@@ -219,9 +221,10 @@ class LocalRemote(Remote):
     def _identity(self) -> tuple[str, str, str]:
         return self.repo.name, self.repo.owner, self.repo.description
 
-    def _known_commits(self, local: Repository, advert: RefAdvertisement):
-        # In process the remote's whole store can be probed directly.
-        return self.repo.store
+    def _haves(self, local: Repository, advert: RefAdvertisement) -> list[str]:
+        # In process the remote's store can be probed directly, so a local
+        # clone that is *ahead* still offers its closest shared commits.
+        return common_tips(self.repo.store, local)
 
 
 def clone_repository(

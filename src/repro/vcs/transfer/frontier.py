@@ -8,24 +8,28 @@ of the sync subsystem:
 * :func:`advertise_refs` — the ref advertisement a repository publishes
   (branches, tags, HEAD), the "haves" a receiver offers and the "wants" a
   sender resolves against;
-* :func:`common_tips` — the multi-round negotiation every fetch uses: walk
-  back from the receiver's tips until commits the source is known to hold
+* :func:`common_tips` — the multi-round negotiation an in-process fetch
+  uses: walk back from the receiver's tips until commits the source holds
   are found, so a receiver that is *ahead* of the source still produces
   useful haves instead of an empty set;
-* :func:`negotiate` — the frontier walk itself: starting from the wanted
-  commits, descend the commit graph and stop at the common ancestors implied
-  by the haves.  The objects of each new commit are collected through
-  :func:`~repro.vcs.treeops.tree_closure` with one shared memo cache keyed by
-  tree oid, so an unchanged subtree is never re-flattened — planning a push
-  of one commit on a deep history touches the changed subtrees plus one
-  closure of the boundary tree, not every tree of every ancestor.
+* :func:`negotiate` — the frontier walk itself: one two-colour walk from the
+  wants and the haves, in decreasing generation order, finds the new
+  commits and the common commits adjacent to them, and stops as soon as no
+  queued commit can still turn out new.  The objects of each new commit are
+  collected through :func:`~repro.vcs.treeops.tree_closure` with one shared
+  memo cache keyed by tree oid, so an unchanged subtree is never
+  re-flattened — planning a push of one commit on a deep history touches a
+  handful of commits, the changed subtrees and one closure of the boundary
+  tree, not every ancestor.
 
 Every commit-graph walk here reads commits through
-:meth:`~repro.vcs.object_store.ObjectStore.commit_parents` and
-:meth:`~repro.vcs.object_store.ObjectStore.commit_tree`, the store's
-never-evicted commit-parent index, so walking a history longer than the
-parsed-object cache costs dict lookups, not a re-parse of every commit on
-every walk.
+:meth:`~repro.vcs.object_store.ObjectStore.commit_parents`,
+:meth:`~repro.vcs.object_store.ObjectStore.commit_tree` and
+:meth:`~repro.vcs.object_store.ObjectStore.commit_generation`, the store's
+never-evicted commit-parent index and generation memo.  The first walk on a
+store computes the generations of the histories it touches once; after that
+a walk costs the commits between the wants and the haves, not the history
+below them.
 
 The resulting :class:`SyncPlan` is what the bundle writer serialises and what
 the benchmarks count: ``plan.objects`` is exactly the transfer offer.
@@ -33,6 +37,7 @@ the benchmarks count: ``plan.objects`` is exactly the transfer offer.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Container
 from dataclasses import dataclass
 
@@ -121,16 +126,16 @@ def advertise_refs(repo) -> RefAdvertisement:
 
 
 def common_tips(known: Container[str], receiver) -> list[str]:
-    """The closest receiver commits the sender is known to hold (multi-round haves).
+    """The closest receiver commits the sender holds (multi-round haves).
 
-    ``known`` is any container of commits the sender holds: an in-process
-    sender's object store, or the history of the tips a wire sender
-    advertised.  Walks the receiver's commit graph backwards from its
-    advertised tips and stops each line of descent at the first commit in
-    ``known``.  A receiver that is ahead of the sender (local commits the
-    sender never saw) therefore still offers the shared base instead of tips
-    the sender would have to discard — the cost is bounded by the
-    receiver-only commits plus one membership probe per boundary commit.
+    ``known`` is any container of commits the sender holds — in process,
+    the sender's object store.  Walks the receiver's commit graph backwards
+    from its advertised tips and stops each line of descent at the first
+    commit in ``known``.  A receiver that is ahead of the sender (local
+    commits the sender never saw) therefore still offers the shared base
+    instead of tips the sender would have to discard — the cost is bounded
+    by the receiver-only commits plus one membership probe per boundary
+    commit.
     """
     haves: list[str] = []
     seen: set[str] = set()
@@ -149,17 +154,53 @@ def common_tips(known: Container[str], receiver) -> list[str]:
     return sorted(haves)
 
 
-def _shared_ancestors(store: ObjectStore, tips: list[str]) -> set[str]:
-    """All commit ids reachable from ``tips``, one shared walk (no tree reads)."""
-    seen: set[str] = set()
-    frontier = list(tips)
-    while frontier:
-        oid = frontier.pop()
-        if oid in seen:
-            continue
-        seen.add(oid)
-        frontier.extend(store.commit_parents(oid))
-    return seen
+_OURS = 1  # reachable from a want
+_THEIRS = 2  # reachable from a have
+
+
+def _common_frontier(store: ObjectStore, wants: list[str], haves: list[str]) -> set[str]:
+    """The haves' ancestors that the walk from ``wants`` can meet.
+
+    A two-colour walk in decreasing generation order: wants are flagged
+    OURS, haves THEIRS, and each popped commit passes its flags to its
+    parents.  Every child of a commit has a larger generation, so when a
+    commit is popped every walked path from a have has already reached it
+    and its THEIRS flag is final.  The walk stops once no queued commit is
+    OURS-only — every new commit has then been popped, and each of their
+    parents is either popped or queued with its final flags.  The returned
+    set (everything flagged THEIRS) is a subset of the haves' history that
+    holds every common commit a walk from the wants can step onto, so
+    excluding it yields the same new commits and boundary as excluding the
+    haves' whole history.
+    """
+    flags: dict[str, int] = {}
+    heap: list[tuple[int, str]] = []
+    ours_only = 0
+
+    def mark(oid: str, flag: int) -> None:
+        nonlocal ours_only
+        old = flags.get(oid)
+        if old is None:
+            flags[oid] = flag
+            heapq.heappush(heap, (-store.commit_generation(oid), oid))
+            ours_only += flag == _OURS
+        elif old | flag != old:
+            # Only queued commits gain flags: a popped commit's children,
+            # the only commits that mark it, were all popped before it.
+            flags[oid] = old | flag
+            ours_only -= old == _OURS
+
+    for oid in wants:
+        mark(oid, _OURS)
+    for oid in haves:
+        mark(oid, _THEIRS)
+    while ours_only:
+        _, oid = heapq.heappop(heap)
+        flag = flags[oid]
+        ours_only -= flag == _OURS
+        for parent in store.commit_parents(oid):
+            mark(parent, flag)
+    return {oid for oid, flag in flags.items() if flag & _THEIRS}
 
 
 def _new_commits_topological(
@@ -197,10 +238,14 @@ def negotiate(
     ``wants`` must name commits present in ``store`` (a missing want raises
     :class:`RemoteError`); ``haves`` are the receiver's advertised commits and
     may freely include ids the source has never seen — they are dropped, like
-    a real ``git fetch`` negotiation does.  The commit walk stops at the
-    common ancestors, and each new commit contributes its memoised tree
-    closure minus everything the boundary trees (and earlier new commits)
-    already cover, so the offer is O(changed) objects.
+    a real ``git fetch`` negotiation does.  The commit walk is bounded by
+    generation numbers: it visits the new commits and the haves' commits
+    down to the generation of the new commits' parents, never the history
+    below, and yields the same plan as excluding the haves' whole history
+    would.
+    Each new commit contributes its memoised tree closure minus everything
+    the boundary trees (and earlier new commits) already cover, so the
+    offer is O(changed) objects.
     """
     cache = {} if closure_cache is None else closure_cache
     want_list: list[str] = []
@@ -218,7 +263,7 @@ def negotiate(
         if have in store and store.get_type(have) == "commit":
             have_list.append(have)
 
-    common = _shared_ancestors(store, have_list)
+    common = _common_frontier(store, want_list, have_list)
     new_commits = _new_commits_topological(store, want_list, common)
 
     boundary: list[str] = []

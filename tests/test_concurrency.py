@@ -190,7 +190,7 @@ class TestBackendConcurrency:
         run_threads([reader] * 8)
 
     def test_commit_parent_index_under_parallel_walks_and_gc(self):
-        """Walkers read the parent index while gc keeps clearing it."""
+        """Walkers read the parent index and generations while gc keeps clearing them."""
         import sys
 
         from repro.utils.timeutil import now_utc
@@ -207,6 +207,7 @@ class TestBackendConcurrency:
             records.append((commit.oid, "commit", commit.serialize()))
             expected[commit.oid] = parents
             parents = (commit.oid,)
+        tip = commit.oid
         store = ObjectStore(cache_size=16)  # walks miss the LRU and hit the index
         store.put_raw_many(records)
         keep = {oid for oid, _, _ in records}
@@ -219,6 +220,18 @@ class TestBackendConcurrency:
                     for oid, wanted in expected.items():
                         assert store.commit_parents(oid) == wanted
                         assert store.commit_tree(oid) == tree.oid
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def generation_walker(number: int):
+            # Each round clears the memo, so the tip's generation walks the
+            # whole chain while the other threads keep clearing it too.
+            try:
+                for round_number in range(100):
+                    filler = f"walker {number} garbage {round_number}".encode()
+                    store.backend.write(object_id("blob", filler), "blob", filler)
+                    store.gc(keep)
+                    assert store.commit_generation(tip) == len(expected)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -235,6 +248,8 @@ class TestBackendConcurrency:
         try:
             gc_thread = threading.Thread(target=collector)
             walkers = [threading.Thread(target=walker) for _ in range(6)]
+            walkers += [threading.Thread(target=generation_walker, args=(number,))
+                        for number in range(3)]
             gc_thread.start()
             for thread in walkers:
                 thread.start()

@@ -5,8 +5,10 @@ reuse in ``write_tree``, the bisect-backed object-id prefix index, the
 citation parse cache, the range-scan citation index, the indexed worktree's
 blob-fingerprint cache (``add`` puts exactly the dirty blobs) and path index
 (single writes never iterate the worktree), and the pack backend's bounded
-handle pool, and the object store's commit-parent index (history walks
-longer than the parsed-object cache parse each commit once) — via call
+handle pool, the object store's commit-parent index (history walks
+longer than the parsed-object cache parse each commit once), and the
+generation-bounded sync walks (a served fetch or push of one commit on a
+deep branch visits a handful of commits) — via call
 counts and object identity, never wall-clock timing, so tier-1 fails
 deterministically when a hot path regresses to its old complexity.
 
@@ -538,3 +540,54 @@ class TestCommitParentIndex:
             assert is_ancestor_commit(store, chain[0], chain[-1])
         assert len(parses) == length
         assert max(parses.values()) == 1
+
+
+class TestServedSyncWalksAreBounded:
+    """Over the hub's REST surface, one-commit syncs never walk to the root."""
+
+    LIMIT = 20
+
+    def test_fetch_and_push_of_one_commit_on_a_deep_branch(self, monkeypatch):
+        from repro.hub.api import RestApi
+        from repro.hub.server import HostingPlatform
+        from repro.hub.sync import HubRemote
+
+        origin = Repository.init("deep", "alice")
+        origin.write_file("file.txt", "start\n")
+        origin.commit("start")
+        for number in range(1999):
+            origin.write_file("file.txt", f"revision {number}\n")
+            origin.commit(f"revision {number}")
+        platform = HostingPlatform()
+        platform.host_repository(origin)
+        remote = HubRemote(RestApi(platform), origin.full_name,
+                           token=platform.issue_token("alice").value)
+        writer, reader = remote.clone(), remote.clone()
+
+        calls = [0]
+        original = ObjectStore.commit_parents
+
+        def counting(store, oid):
+            calls[0] += 1
+            return original(store, oid)
+
+        monkeypatch.setattr(ObjectStore, "commit_parents", counting)
+        for number in range(4):
+            writer.write_file("file.txt", f"pushed {number}\n")
+            tip = writer.commit(f"pushed {number}")
+            counts = []
+            calls[0] = 0
+            assert remote.push(writer, "main")["updated"] == {"main": tip}
+            counts.append(calls[0])
+            calls[0] = 0
+            assert remote.fetch_branch(reader, "main") == tip
+            counts.append(calls[0])
+            # The wire's haves are the advertised tips the client holds, so
+            # the reader publishes what it fetched (as hubbench's sync does);
+            # otherwise its next fetch would resend the whole branch.
+            reader.refs.set_branch("seen", tip)
+            calls[0] = 0
+            assert remote.push(reader, "seen")["updated"] == {"seen": tip}
+            counts.append(calls[0])
+            if number:  # the first round computes each store's generations once
+                assert max(counts) <= self.LIMIT, counts

@@ -4,10 +4,13 @@ Covers the PR 5 tentpole (repro.vcs.transfer) and its satellites: gc-clean
 clones, the pull unborn-HEAD fix, the ObjectStore pin/lease registry, the
 ``gitcite bundle`` commands, and the hypothesis property that a negotiated
 sync transfers exactly the objects missing on the receiver across storage
-backend pairs and repeated divergent push/pull rounds.
+backend pairs and repeated divergent push/pull rounds.  A second property
+pins the generation-bounded negotiation and fast-forward check to full-walk
+references on random commit DAGs.
 """
 
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BundleError, RemoteError
-from repro.vcs.objects import Blob
+from repro.vcs.merge import is_ancestor_commit
+from repro.vcs.object_store import ObjectStore
+from repro.vcs.objects import MODE_FILE, Blob, Commit, Signature, Tree, TreeEntry
 from repro.vcs.remote import (
     LocalRemote,
     clone_repository,
@@ -658,3 +663,169 @@ class TestFetchBranch:
         # One commit + changed tree chain + one blob: a handful, not history.
         assert tip in transferred
         assert len(transferred) <= 5
+
+
+# ---------------------------------------------------------------------------
+# Generation-bounded walks against full-walk references
+# ---------------------------------------------------------------------------
+
+
+def _reference_ancestry(store, tips):
+    """Every commit reachable from ``tips``: the walk to the root."""
+    seen: set[str] = set()
+    frontier = list(tips)
+    while frontier:
+        oid = frontier.pop()
+        if oid not in seen:
+            seen.add(oid)
+            frontier.extend(store.get_commit(oid).parent_oids)
+    return seen
+
+
+def _reference_plan(store, wants, haves):
+    """``(new_commits, boundary, objects)`` excluding the haves' whole history."""
+    wants = list(dict.fromkeys(wants))
+    common = _reference_ancestry(store, [oid for oid in dict.fromkeys(haves) if oid in store])
+    new_commits: list[str] = []
+    state: dict[str, int] = {}
+    stack = list(wants)
+    while stack:
+        oid = stack[-1]
+        if oid in common or state.get(oid) == 1:
+            stack.pop()
+        elif state.get(oid) == 0:
+            state[oid] = 1
+            new_commits.append(oid)
+            stack.pop()
+        else:
+            state[oid] = 0
+            for parent in store.get_commit(oid).parent_oids:
+                if parent not in common and state.get(parent) != 1:
+                    stack.append(parent)
+    boundary: list[str] = []
+    for oid in new_commits:
+        for parent in store.get_commit(oid).parent_oids:
+            if parent in common and parent not in boundary:
+                boundary.append(parent)
+    known: set[str] = set()
+    for oid in boundary:
+        known |= tree_closure(store, store.get_commit(oid).tree_oid, {})
+    objects: list[str] = []
+    for oid in new_commits:
+        fresh = tree_closure(store, store.get_commit(oid).tree_oid, {}) - known
+        objects.append(oid)
+        objects.extend(sorted(fresh))
+        known |= fresh
+    return tuple(new_commits), tuple(boundary), tuple(objects)
+
+
+@st.composite
+def _commit_dags(draw):
+    """Parent index lists of a random DAG: merges, octopus merges, several roots."""
+    size = draw(st.integers(min_value=1, max_value=28))
+    parents: list[tuple[int, ...]] = [()]
+    for number in range(1, size):
+        count = min(number, draw(st.sampled_from([0, 1, 1, 1, 1, 2, 2, 3])))
+        parents.append(tuple(draw(st.lists(
+            st.integers(min_value=0, max_value=number - 1),
+            min_size=count, max_size=count, unique=True,
+        ))))
+    return parents
+
+
+_DAG_STAMP = datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+def _store_dag(parents) -> tuple[ObjectStore, list[str]]:
+    """Store one commit per index; files are shared, changed and added across commits."""
+    signature = Signature(name="alice", email="alice@example.org", timestamp=_DAG_STAMP)
+    store = ObjectStore()
+    oids: list[str] = []
+    for number, parent_indexes in enumerate(parents):
+        blobs = [Blob(f"shared {number // 4}\n".encode()), Blob(f"own {number}\n".encode())]
+        tree = Tree(entries=(
+            TreeEntry(name="shared.txt", mode=MODE_FILE, oid=blobs[0].oid),
+            TreeEntry(name=f"own{number % 3}.txt", mode=MODE_FILE, oid=blobs[1].oid),
+        ))
+        commit = Commit(
+            tree_oid=tree.oid,
+            parent_oids=tuple(oids[index] for index in parent_indexes),
+            author=signature,
+            committer=signature,
+            message=f"commit {number}",
+        )
+        store.put_many([*blobs, tree, commit])
+        oids.append(commit.oid)
+    return store, oids
+
+
+class TestGenerationBoundedWalks:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_negotiation_matches_the_full_walk(self, data):
+        parents = data.draw(_commit_dags())
+        store, oids = _store_dag(parents)
+        indexes = st.integers(min_value=0, max_value=len(oids) - 1)
+        wants = [oids[i] for i in data.draw(st.lists(indexes, min_size=1, max_size=4))]
+        haves = [oids[i] for i in data.draw(st.lists(indexes, max_size=4))]
+        haves += data.draw(st.lists(st.sampled_from(["0" * 40, "f" * 40]), max_size=2))
+        descendants = [oid for oid in oids if wants[0] in _reference_ancestry(store, [oid])]
+        haves += data.draw(st.lists(st.sampled_from(descendants), max_size=2))
+        haves = data.draw(st.permutations(haves))
+
+        plan = negotiate(store, wants, haves)
+        new_commits, boundary, objects = _reference_plan(store, wants, haves)
+        assert (plan.new_commits, plan.boundary, plan.objects) == (new_commits, boundary, objects)
+        assert create_bundle(store, wants, haves) == write_bundle(
+            store, objects, prerequisites=boundary
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ancestry_and_generations_match_the_definitions(self, data):
+        parents = data.draw(_commit_dags())
+        store, oids = _store_dag(parents)
+        indexes = st.integers(min_value=0, max_value=len(oids) - 1)
+        for a, b in data.draw(st.lists(st.tuples(indexes, indexes), min_size=1, max_size=12)):
+            expected = oids[a] in _reference_ancestry(store, [oids[b]])
+            assert is_ancestor_commit(store, oids[a], oids[b]) == expected
+            assert is_ancestor_commit(store, oids[b], oids[a]) == (
+                oids[b] in _reference_ancestry(store, [oids[a]])
+            )
+        for oid, parent_indexes in zip(oids, parents):
+            assert store.commit_generation(oid) == 1 + max(
+                (store.commit_generation(oids[index]) for index in parent_indexes), default=0
+            )
+
+    def test_gc_drops_generations_and_a_repush_negotiates_exactly(self):
+        origin = make_repo(history=4)
+        origin.checkout("side", create_branch=True)
+        for number in range(3):
+            origin.write_file("side.txt", f"side {number}\n")
+            origin.commit(f"side {number}")
+        side_tip = origin.head_oid()
+        local = clone_repository(origin)
+        origin.checkout("main")
+        main_tip = origin.head_oid()
+        # Warm the generation memo over both branches, then collect ``side``.
+        assert is_ancestor_commit(origin.store, main_tip, side_tip)
+        origin.delete_branch("side")
+        assert origin.store.gc(reachable_objects(origin.store, main_tip)) > 0
+        assert side_tip not in origin.store
+        assert side_tip not in origin.store._generations
+
+        missing = reachable_objects(local.store, side_tip) - store_oids(origin)
+        plan = negotiate(local.store, [side_tip], haves=[main_tip])
+        assert set(plan.objects) == missing
+        result = LocalRemote(origin).receive_pack(
+            create_bundle(local.store, [side_tip], haves=[main_tip],
+                          refs=advertise_refs(local)),
+            force=False,
+        )
+        assert result["objects_added"] == len(missing)
+        assert origin.refs.branch_target("side") == side_tip
+        replanned = negotiate(origin.store, [side_tip], haves=[main_tip])
+        assert replanned.new_commits == plan.new_commits
+        assert replanned.boundary == (main_tip,)
+        assert set(replanned.objects) == missing
+        assert origin.store.commit_generation(side_tip) == local.store.commit_generation(side_tip)
